@@ -29,7 +29,6 @@ from .experiments import (
     AUDIO_TASKS,
     SolveParams,
     _frame_observations,
-    _pad_to_frame_grid,
     run_audio,
     run_synth,
 )
@@ -39,6 +38,7 @@ from .pipeline import (
     EvalRow,
     FrameSpec,
     SyntheticSpec,
+    _pad_to_frame_grid,
     uniform_quantizer_for_bits,
     wav_read,
     wav_write,
@@ -374,7 +374,7 @@ def cmd_learn_dict(cfg: RunConfig) -> int:
     d0 = _load_dict(cfg, cfg.frame)
     inner = SolverConfig(L0(cfg.k), max_iters=cfg.inner_iters)
     dl = DictLearnConfig(inner_code=inner, outer_iters=cfg.iters,
-                         inner_dict_iters=cfg.inner_iters, seed=cfg.seed)
+                         inner_dict_iters=cfg.inner_iters)
     d, _, trace = learn(TrainingSet(observations), d0, dl)
     out = cfg.out or "dictionary.nlcsdict"
     save_dictionary(out, d)

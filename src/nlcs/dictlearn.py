@@ -22,13 +22,7 @@ import numpy as np
 
 from .linops import spectral_norm
 from .measurements import Observation
-from .solvers import (
-    L1,
-    SolverConfig,
-    _batch_objective,
-    batch_projector,
-    sparse_code_batch,
-)
+from .solvers import SolverConfig, _penalty, batch_projector, sparse_code_batch
 
 __all__ = [
     "DictLearnConfig",
@@ -53,7 +47,6 @@ class DictLearnConfig:
     outer_iters: int = 50
     inner_dict_iters: int = 20
     dict_step: Optional[float] = None  # None -> 1 / ||A||_2^2
-    seed: int = 0  # reserved for randomized initialization strategies
 
     def __post_init__(self):
         if self.outer_iters < 0:
@@ -134,14 +127,14 @@ def dict_update(d: np.ndarray, codes, train: TrainingSet, cfg: DictLearnConfig,
         if s == 0.0:
             # all-zero codes: the gradient vanishes, nothing to update
             if record_objective:
-                obj = _total_data_cost(d, a, projector)
+                obj = _total_objective(d, a, projector)
                 return d.copy(), np.full(cfg.inner_dict_iters + 1, obj)
             return d.copy()
         mu2 = 1.0 / (s * s)
 
     objectives = []
     if record_objective:
-        objectives.append(_total_data_cost(d, a, projector))
+        objectives.append(_total_objective(d, a, projector))
     for _ in range(cfg.inner_dict_iters):
         z = d @ a
         e = projector.project(z) - z
@@ -149,22 +142,20 @@ def dict_update(d: np.ndarray, codes, train: TrainingSet, cfg: DictLearnConfig,
         if not np.all(np.isfinite(d)):
             raise RuntimeError("dictionary update diverged")
         if record_objective:
-            objectives.append(_total_data_cost(d, a, projector))
+            objectives.append(_total_objective(d, a, projector))
     if record_objective:
         return d, np.asarray(objectives)
     return d
 
 
-def _total_data_cost(d: np.ndarray, a: np.ndarray, projector) -> float:
+def _total_objective(d: np.ndarray, a: np.ndarray, projector, reg=None) -> float:
+    """Summed data cost of the codes a, plus reg's penalty when reg is given."""
     z = d @ a
     r = z - projector.project(z)
-    return 0.5 * float(np.sum(r * r))
-
-
-def _total_objective(d, a, projector, reg) -> float:
-    z = d @ a
-    p = projector.project(z)
-    return float(np.sum(_batch_objective(reg, z, p, a)))
+    total = 0.5 * float(np.sum(r * r))
+    if reg is not None:
+        total += float(np.sum(_penalty(reg, a)))
+    return total
 
 
 def learn(train: TrainingSet, d0: np.ndarray, cfg: DictLearnConfig,
@@ -192,11 +183,7 @@ def learn(train: TrainingSet, d0: np.ndarray, cfg: DictLearnConfig,
     reg = cfg.inner_code.regularizer
     trace = LearnTrace()
     for _ in range(cfg.outer_iters):
-        step = cfg.inner_code.step
-        if step is None:
-            s = spectral_norm(d)
-            step = 1.0 / (s * s) if s > 0 else 1.0
-        a, _ = sparse_code_batch(d, projector, a, cfg.inner_code, step=step)
+        a, _ = sparse_code_batch(d, projector, a, cfg.inner_code)
         trace.after_coding.append(_total_objective(d, a, projector, reg))
 
         d = dict_update(d, a, train, cfg)
@@ -205,8 +192,9 @@ def learn(train: TrainingSet, d0: np.ndarray, cfg: DictLearnConfig,
 
     unused = np.flatnonzero(~np.any(a != 0.0, axis=1))
     if unused.size:
-        logger.warning("%d atoms were never activated and were left as-is: %s",
-                       unused.size, unused.tolist())
+        logger.warning("%d atoms were never activated and were left as-is "
+                       "(the first %d: %s)", unused.size, min(unused.size, 10),
+                       unused[:10].tolist())
     return d, a, trace
 
 

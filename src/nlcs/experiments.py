@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .dictlearn import DictLearnConfig, TrainingSet, learn
-from .linops import dct_dictionary, prox_l0_topk, spectral_norm
+from .linops import dct_dictionary, prox_l0_topk
 from .measurements import (
     Clip,
     GeneralQuantizer,
@@ -28,12 +28,12 @@ from .measurements import (
     UniformQuantizer,
     apply_measurement,
     estimate_clip_model,
-    project,
 )
 from .pipeline import (
     EvalRow,
     FrameSpec,
     SyntheticSpec,
+    _pad_to_frame_grid,
     angular_snr_db,
     frame_signal,
     gen_synthetic,
@@ -46,6 +46,7 @@ from .solvers import (
     L1,
     HomotopyConfig,
     SolverConfig,
+    _resolve_step,
     batch_projector,
     sparse_code_adaptive,
     sparse_code_batch,
@@ -105,39 +106,39 @@ def _baseline_observation(obs: Observation, task: str) -> tuple[Observation, Opt
     raise ValueError(f"unknown task {task!r}")
 
 
-def _solve_one(d, obs, method, params: SolveParams, alpha0=None):
-    if alpha0 is None:
-        alpha0 = np.zeros(d.shape[1])
+def _solve(d, observations, method, params: SolveParams, a0=None) -> np.ndarray:
+    """Code a batch of observations with one coder call; (M, T) codes."""
+    if a0 is None:
+        a0 = np.zeros((d.shape[1], len(observations)))
     if method == "fixed":
         cfg = SolverConfig(L1(params.lam), max_iters=params.iters, rel_tol=params.rel_tol)
-        alpha, _ = sparse_code_fixed(d, obs, alpha0, cfg)
+        codes, _ = sparse_code_fixed(d, observations, a0, cfg)
     elif method == "adaptive":
         inner = SolverConfig(L1(params.lam), max_iters=params.iters, rel_tol=params.rel_tol)
         hcfg = HomotopyConfig(inner, epsilon=params.epsilon, decay=params.decay)
-        alpha, _ = sparse_code_adaptive(d, obs, alpha0, hcfg)
+        codes, _ = sparse_code_adaptive(d, observations, a0, hcfg)
     elif method == "iht":
         cfg = SolverConfig(L0(params.k), max_iters=params.iters, rel_tol=params.rel_tol)
-        alpha, _ = sparse_code_fixed(d, obs, alpha0, cfg)
+        codes, _ = sparse_code_fixed(d, observations, a0, cfg)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return alpha
+    return codes
 
 
-def _synth_estimate(d, obs, method, task, params: SolveParams) -> np.ndarray:
-    """Solve one synthetic instance and return the final signal estimate."""
+def _synth_estimates(d, observations, method, task, params: SolveParams) -> np.ndarray:
+    """Solve a batch of synthetic instances; (N, T) final signal estimates."""
     if method == "baseline":
-        base_obs, stop = _baseline_observation(obs, task)
+        base = [_baseline_observation(o, task) for o in observations]
+        base_obs = [b for b, _ in base]
+        stop = base[0][1]  # one model and length per batch: one noise floor
         eps = stop if stop is not None else params.epsilon
-        inner = SolverConfig(L1(params.lam), max_iters=params.iters, rel_tol=params.rel_tol)
-        hcfg = HomotopyConfig(inner, epsilon=eps, decay=params.decay)
-        alpha, _ = sparse_code_adaptive(d, base_obs, np.zeros(d.shape[1]), hcfg)
-        z = d @ alpha
+        z = d @ _solve(d, base_obs, "adaptive", replace(params, epsilon=eps))
         if task == "declip":
-            return project(base_obs.intervals(), z)  # restore reliable samples
+            return batch_projector(base_obs).project(z)  # restore reliable samples
         return z
-    alpha0 = _classical_init(d, [obs], params.k)[:, 0] if method == "iht" else None
-    alpha = _solve_one(d, obs, method, params, alpha0=alpha0)
-    return project(obs.intervals(), d @ alpha)
+    a0 = _classical_init(d, observations, params.k) if method == "iht" else None
+    codes = _solve(d, observations, method, params, a0)
+    return batch_projector(observations).project(d @ codes)
 
 
 def run_synth(spec: SyntheticSpec, distortion: str, levels: Sequence,
@@ -166,14 +167,11 @@ def run_synth(spec: SyntheticSpec, distortion: str, levels: Sequence,
             model = uniform_quantizer_for_bits(bits)
             tag = f"quant:{bits}"
             task = "dequant"
+        observations = [apply_measurement(model, x) for x in signals.T]
         for method in methods:
             t0 = time.perf_counter()
-            snrs = np.empty(signals.shape[1])
-            for t in range(signals.shape[1]):
-                x = signals[:, t]
-                obs = apply_measurement(model, x)
-                xhat = _synth_estimate(d, obs, method, task, params)
-                snrs[t] = snr_db(xhat, x)
+            estimates = _synth_estimates(d, observations, method, task, params)
+            snrs = np.array([snr_db(xhat, x) for xhat, x in zip(estimates.T, signals.T)])
             runtime = time.perf_counter() - t0
             rows.append(EvalRow(tag, method, float(np.mean(snrs)), runtime, seed))
             per_signal[(level, method)] = snrs
@@ -186,30 +184,15 @@ def run_synth(spec: SyntheticSpec, distortion: str, levels: Sequence,
 # audio-scale processing
 
 
-def _pad_to_frame_grid(x: np.ndarray, spec: FrameSpec) -> np.ndarray:
-    n, hop = spec.frame_len, spec.hop
-    if x.shape[0] < n:
-        raise ValueError(f"signal of length {x.shape[0]} is shorter than one frame ({n})")
-    count = int(np.ceil((x.shape[0] - n) / hop)) + 1
-    total = (count - 1) * hop + n
-    out = np.zeros(total)
-    out[: x.shape[0]] = x
-    return out
-
-
 def _frame_observations(obs_full: Observation, spec: FrameSpec) -> List[Observation]:
     y = frame_signal(obs_full.values, spec)
     model = obs_full.model
     if isinstance(model, Clip):
-        r = frame_signal(obs_full.reliable.astype(float), spec) > 0.5
-        p = frame_signal(obs_full.clip_pos.astype(float), spec) > 0.5
-        frames = []
-        for j in range(y.shape[1]):
-            rj = r[:, j]
-            pj = p[:, j] & ~rj
-            nj = ~(rj | pj)
-            frames.append(Observation(y[:, j], model, reliable=rj, clip_pos=pj, clip_neg=nj))
-        return frames
+        r = frame_signal(obs_full.reliable, spec)
+        p = frame_signal(obs_full.clip_pos, spec) & ~r
+        n = ~(r | p)
+        return [Observation(y[:, j], model, reliable=r[:, j], clip_pos=p[:, j],
+                            clip_neg=n[:, j]) for j in range(y.shape[1])]
     return [Observation(y[:, j], model) for j in range(y.shape[1])]
 
 
@@ -221,9 +204,7 @@ def _classical_init(d, observations, k: Optional[int]) -> np.ndarray:
     the shrunk consistent point at the inner bin edges.
     """
     y = np.stack([o.values for o in observations], axis=1)
-    s = spectral_norm(d)
-    mu = 1.0 / (s * s) if s > 0 else 1.0
-    a0 = mu * (d.T @ y)
+    a0 = _resolve_step(d) * (d.T @ y)
     if k is not None:
         a0 = prox_l0_topk(a0, k)
     return a0
@@ -314,14 +295,8 @@ def run_audio(task: str, samples: np.ndarray, frame_spec: FrameSpec,
     elif method in ("fixed", "adaptive"):
         if learn_dict:
             raise ValueError("dictionary learning is only wired to the iht coder")
-        cols = []
-        for o in solve_obs:
-            if task == "onebit":
-                a0 = _classical_init(d, [o], None)[:, 0]
-            else:
-                a0 = None
-            cols.append(_solve_one(d, o, method, params, alpha0=a0))
-        codes = np.stack(cols, axis=1)
+        a0 = _classical_init(d, solve_obs, None) if task == "onebit" else None
+        codes = _solve(d, solve_obs, method, params, a0)
     else:
         raise ValueError(f"unknown method {method!r}")
 

@@ -68,8 +68,11 @@ def spectral_norm(matrix: np.ndarray, tol: float = 1e-8, max_iters: int = 1000) 
 
 
 def prox_l1(v: np.ndarray, threshold: float) -> np.ndarray:
-    """Soft threshold: sign(v_i) * max(|v_i| - threshold, 0) element-wise."""
-    if threshold < 0:
+    """Soft threshold: sign(v_i) * max(|v_i| - threshold, 0) element-wise.
+
+    For an (M, T) array the threshold may also hold one value per column.
+    """
+    if np.any(np.asarray(threshold) < 0):
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)

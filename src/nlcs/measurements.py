@@ -17,7 +17,7 @@ Lipschitz constant of 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -166,9 +166,11 @@ class GeneralLinear:
         object.__setattr__(self, "matrix", m)
 
 
-MeasurementModel = Union[
-    Identity, Mask, Clip, UniformQuantizer, GeneralQuantizer, OneBit, GeneralLinear
-]
+# The | form builds a fresh union object; typing.Union would keep it, and
+# with it this module, in typing's cache across re-imports of the package.
+MeasurementModel = (
+    Identity | Mask | Clip | UniformQuantizer | GeneralQuantizer | OneBit | GeneralLinear
+)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +181,11 @@ MeasurementModel = Union[
 class IntervalSet:
     """Per-sample feasibility intervals [lower_i, upper_i].
 
-    Unbounded sides are represented by an explicit flag per side; the stored
-    bound value on an unbounded side is ignored, so no arithmetic is ever
-    done with floating-point infinities.  lower_i == upper_i encodes an
-    exactly observed sample.
+    The arrays have shape (N,) for one signal, or (N, T) for T signals
+    held column-wise.  Unbounded sides are represented by an explicit flag
+    per side; the stored bound value on an unbounded side is ignored, so no
+    arithmetic is ever done with floating-point infinities.  lower_i ==
+    upper_i encodes an exactly observed sample.
     """
 
     lower: np.ndarray
@@ -195,8 +198,8 @@ class IntervalSet:
         up = np.asarray(self.upper, dtype=float)
         lb = np.asarray(self.lower_bounded, dtype=bool)
         ub = np.asarray(self.upper_bounded, dtype=bool)
-        if not (lo.shape == up.shape == lb.shape == ub.shape) or lo.ndim != 1:
-            raise ValueError("interval arrays must share one 1-d shape")
+        if not (lo.shape == up.shape == lb.shape == ub.shape) or lo.ndim not in (1, 2):
+            raise ValueError("interval arrays must share one 1-d or 2-d shape")
         if not np.all(np.isfinite(lo[lb])) or not np.all(np.isfinite(up[ub])):
             raise ValueError("bounded sides must be finite")
         both = lb & ub
@@ -230,7 +233,10 @@ class IntervalSet:
 
 
 def project(intervals: IntervalSet, x) -> np.ndarray:
-    """Orthogonal projection onto the interval box: element-wise clamp."""
+    """Orthogonal projection onto the interval box: element-wise clamp.
+
+    x has the shape of the intervals, (N,) or (N, T).
+    """
     x = np.asarray(x, dtype=float)
     out = np.where(intervals.lower_bounded, np.maximum(x, intervals.lower), x)
     out = np.where(intervals.upper_bounded, np.minimum(out, intervals.upper), out)
@@ -414,13 +420,14 @@ def project_linear(model: GeneralLinear, y, x, _cache: Optional[dict] = None) ->
     """Projection onto {z : M z = y}: x - M^T (M M^T)^{-1} (M x - y).
 
     Solves the L x L symmetric positive-definite system directly; accepts x
-    of shape (N,) or (N, T) for batched projection.
+    of shape (N,) or (N, T) for batched projection, with y of shape (L,) or,
+    one observation per column, (L, T).
     """
     m = model.matrix
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     gram = _linear_gram(model, _cache)
-    resid = m @ x - (y if x.ndim == 1 else y[:, None])
+    resid = m @ x - (y if y.ndim == x.ndim else y[:, None])
     w = np.linalg.solve(gram, resid)
     return x - m.T @ w
 

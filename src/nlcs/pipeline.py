@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .measurements import GeneralQuantizer
 
@@ -126,24 +127,30 @@ def uniform_quantizer_for_bits(bits: int) -> GeneralQuantizer:
     return GeneralQuantizer(edges, codewords)
 
 
+def _pad_to_frame_grid(x: np.ndarray, spec: FrameSpec) -> np.ndarray:
+    """Zero-pad x, keeping its dtype, to the end of the last of the
+    ceil((len - frame_len) / hop) + 1 frames that cover it."""
+    n, hop = spec.frame_len, spec.hop
+    if x.shape[0] < n:
+        raise ValueError(f"signal of length {x.shape[0]} is shorter than one frame ({n})")
+    count = int(np.ceil((x.shape[0] - n) / hop)) + 1
+    out = np.zeros((count - 1) * hop + n, dtype=x.dtype)
+    out[: x.shape[0]] = x
+    return out
+
+
 def frame_signal(samples, spec: FrameSpec) -> np.ndarray:
     """Slice a signal into overlapping frames, zero-padding the tail.
 
     Returns an array of shape (frame_len, frame_count) with
-    frame_count = ceil((len - frame_len) / hop) + 1.
+    frame_count = ceil((len - frame_len) / hop) + 1.  Boolean input (a
+    sample mask) gives boolean frames; anything else is framed as float.
     """
-    x = np.asarray(samples, dtype=float)
-    n = spec.frame_len
-    if x.shape[0] < n:
-        raise ValueError(f"signal of length {x.shape[0]} is shorter than one frame ({n})")
-    hop = spec.hop
-    count = int(np.ceil((x.shape[0] - n) / hop)) + 1
-    padded = np.zeros((count - 1) * hop + n)
-    padded[: x.shape[0]] = x
-    frames = np.empty((n, count))
-    for j in range(count):
-        frames[:, j] = padded[j * hop : j * hop + n]
-    return frames
+    x = np.asarray(samples)
+    if x.dtype != bool:
+        x = x.astype(float, copy=False)
+    padded = _pad_to_frame_grid(x, spec)
+    return sliding_window_view(padded, spec.frame_len)[:: spec.hop].T.copy()
 
 
 def overlap_add(frames, spec: FrameSpec, out_len: int) -> np.ndarray:
@@ -214,6 +221,8 @@ def wav_read(path) -> tuple[np.ndarray, int]:
     except wave.Error as exc:
         raise ValueError(f"{path}: malformed wav file ({exc})") from exc
     data = np.frombuffer(raw, dtype="<i2")
+    if data.size == 0:
+        raise ValueError(f"{path}: no audio samples")
     if nch > 1:
         logger.info("%s has %d channels; using the first", path, nch)
         data = data.reshape(-1, nch)[:, 0]

@@ -16,11 +16,17 @@ with mu1 <= 1 / ||D||_2^2 guaranteeing a non-increasing objective in the
 convex case.  An adaptive scheme re-solves with geometrically decreasing
 lam, warm-starting each stage, until the data term falls below a target
 consistency epsilon.
+
+Signals do not interact once D is fixed, so every coder runs one kernel on
+(M, T) code matrices, one column per signal, each column stopping on its
+own test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
+from types import SimpleNamespace
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -28,9 +34,10 @@ import numpy as np
 from .linops import prox_l0_topk, prox_l1, spectral_norm
 from .measurements import (
     GeneralLinear,
+    IntervalSet,
     Observation,
-    _project_onto_feasibility,
     cost,
+    project,
     project_linear,
 )
 
@@ -57,13 +64,19 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class L1:
-    """l1 penalty with weight lam (lam = 0 disables shrinkage)."""
+    """l1 penalty with weight lam (lam = 0 disables shrinkage).
 
-    lam: float
+    For a batch of T signals lam may also hold one weight per column.
+    """
+
+    lam: Union[float, np.ndarray]
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        lam = np.asarray(self.lam, dtype=float)
+        if lam.ndim > 1 or not np.all(np.isfinite(lam) & (lam >= 0)):
+            raise ValueError(f"lam must be a scalar or 1-d, finite and >= 0, got {self.lam}")
+        if lam.ndim == 1:
+            object.__setattr__(self, "lam", lam)
 
 
 @dataclass(frozen=True)
@@ -77,7 +90,7 @@ class L0:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
 
-Regularizer = Union[L1, L0]
+Regularizer = L1 | L0  # not typing.Union: see measurements.MeasurementModel
 
 
 @dataclass(frozen=True)
@@ -118,46 +131,60 @@ class HomotopyConfig:
 
 @dataclass
 class StageRecord:
-    lam: float
-    consistency: float
-    penalty: float
+    """One homotopy stage.
+
+    In a batched solve lam, consistency and penalty hold one value per
+    column, lam being NaN for the columns that were already consistent and
+    sat the stage out; iterations is the stage's lockstep count.
+    """
+
+    lam: Union[float, np.ndarray]
+    consistency: Union[float, np.ndarray]
+    penalty: Union[float, np.ndarray]
     iterations: int
 
 
 @dataclass
 class SolveTrace:
-    """Verbatim record of a solve: objective values as they occurred."""
+    """Verbatim record of a solve: objective values as they occurred.
+
+    In a batched solve the objectives are summed over the signals and
+    consistency holds one value per signal; iterations counts lockstep
+    iterations and converged is true when every signal converged.
+    """
 
     objectives: np.ndarray
     iterations: int
     converged: bool
-    consistency: float
+    consistency: Union[float, np.ndarray]
     stages: List[StageRecord] = field(default_factory=list)
 
 
-def _resolve_step(cfg: SolverConfig, d: np.ndarray) -> float:
-    if cfg.step is not None:
-        return cfg.step
+def _resolve_step(d: np.ndarray, step: Optional[float] = None) -> float:
+    """The given step, or 1 / ||D||_2^2 when it is None."""
+    if step is not None:
+        return step
     s = spectral_norm(d)
     return 1.0 / (s * s) if s > 0 else 1.0
 
 
-def _penalty(reg: Regularizer, alpha: np.ndarray) -> float:
+def _penalty(reg: Regularizer, a: np.ndarray):
+    """lam * ||a_t||_1 per column of a (0 under the L0 constraint)."""
     if isinstance(reg, L1):
-        return reg.lam * float(np.sum(np.abs(alpha)))
-    return 0.0
+        return reg.lam * np.sum(np.abs(a), axis=0)
+    return np.zeros(a.shape[1:])
 
 
-def _prox(reg: Regularizer, alpha: np.ndarray, step: float) -> np.ndarray:
+def _prox(reg: Regularizer, a: np.ndarray, step: float) -> np.ndarray:
     if isinstance(reg, L1):
-        return prox_l1(alpha, reg.lam * step)
-    return prox_l0_topk(alpha, reg.k)
+        return prox_l1(a, reg.lam * step)
+    return prox_l0_topk(a, reg.k)
 
 
 def objective(d: np.ndarray, alpha: np.ndarray, obs: Observation,
               cfg: SolverConfig) -> float:
     """Penalized objective cost(D a, y) + lam * ||a||_1 (data term only for L0)."""
-    return cost(obs, d @ alpha) + _penalty(cfg.regularizer, alpha)
+    return cost(obs, d @ alpha) + float(_penalty(cfg.regularizer, alpha))
 
 
 def consistency_level(d: np.ndarray, alpha: np.ndarray, obs: Observation) -> float:
@@ -165,147 +192,160 @@ def consistency_level(d: np.ndarray, alpha: np.ndarray, obs: Observation) -> flo
     return cost(obs, d @ alpha)
 
 
-def sparse_code_fixed(d: np.ndarray, obs: Observation, alpha0: np.ndarray,
-                      cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace]:
-    """Proximal gradient descent at a fixed regularization level.
+def _descend(d: np.ndarray, project_batch, a: np.ndarray, cfg: SolverConfig,
+             mu: float, stop_consistency: Optional[np.ndarray] = None):
+    """Proximal gradient descent on the columns of the (M, T) code matrix a.
 
-    Iterates until the relative objective change drops below cfg.rel_tol or
-    cfg.max_iters is hit.  With accelerate=True the momentum scheme of fast
-    proximal methods is used; it converges faster but gives up per-iteration
-    monotonicity.
+    Each column stops on its own test: a relative objective change of at
+    most cfg.rel_tol or, when stop_consistency is given, a data term at or
+    below its threshold.  Stopped columns keep their codes while the others
+    iterate.  With cfg.accelerate the momentum scheme of fast proximal
+    methods is used.  Returns the codes, the total objective before the
+    first and after every iteration, the per-column stopped flags and the
+    final data terms.
     """
-    alpha = np.array(alpha0, dtype=float)
-    if alpha.ndim != 1 or alpha.shape[0] != d.shape[1]:
-        raise ValueError("alpha0 length must match the dictionary atom count")
-    if not np.all(np.isfinite(alpha)):
-        raise ValueError("alpha0 must be finite")
-    mu = _resolve_step(cfg, d)
     reg = cfg.regularizer
+    z = d @ a
+    p = project_batch(z)
+    data = 0.5 * np.sum((z - p) ** 2, axis=0)
+    f = data + _penalty(reg, a)
+    totals = [float(f.sum())]
+    active = np.ones(a.shape[1], dtype=bool)
+    if stop_consistency is not None:
+        active &= data > stop_consistency
 
-    za = d @ alpha
-    pa = _project_onto_feasibility(obs, za)
-    f = 0.5 * float(np.sum((za - pa) ** 2)) + _penalty(reg, alpha)
-    objectives = [f]
-
-    w, zw, pw = alpha, za, pa  # gradient evaluation point (= alpha when plain)
+    w, zw, pw = a, z, p  # gradient evaluation point (= a when plain)
     t = 1.0
-    converged = False
-    iterations = 0
     for k in range(1, cfg.max_iters + 1):
-        alpha_new = _prox(reg, w + mu * (d.T @ (pw - zw)), mu)
-        za_new = d @ alpha_new
-        pa_new = _project_onto_feasibility(obs, za_new)
-        f_new = 0.5 * float(np.sum((za_new - pa_new) ** 2)) + _penalty(reg, alpha_new)
-        if not np.isfinite(f_new):
+        if not active.any():
+            break
+        a_new = np.where(active, _prox(reg, w + mu * (d.T @ (pw - zw)), mu), a)
+        z_new = d @ a_new
+        p_new = project_batch(z_new)
+        data = 0.5 * np.sum((z_new - p_new) ** 2, axis=0)
+        f_new = data + _penalty(reg, a_new)
+        if not np.all(np.isfinite(f_new[active])):
             raise DivergenceError(f"objective diverged at iteration {k}")
-        objectives.append(f_new)
-        iterations = k
+        totals.append(float(f_new.sum()))
         if cfg.accelerate:
             t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
             c = (t - 1.0) / t_new
-            w = alpha_new + c * (alpha_new - alpha)
-            zw = za_new + c * (za_new - za)
-            pw = _project_onto_feasibility(obs, zw)
+            w = a_new + c * (a_new - a)
+            zw = z_new + c * (z_new - z)
+            pw = project_batch(zw)
             t = t_new
         else:
-            w, zw, pw = alpha_new, za_new, pa_new
-        alpha, za = alpha_new, za_new
-        if abs(f - f_new) <= cfg.rel_tol * max(f, 1e-300):
-            converged = True
-            f = f_new
-            break
+            w, zw, pw = a_new, z_new, p_new
+        a, z = a_new, z_new
+        active &= np.abs(f - f_new) > cfg.rel_tol * np.maximum(f, 1e-300)
+        if stop_consistency is not None:
+            active &= data > stop_consistency
         f = f_new
-
-    pa = _project_onto_feasibility(obs, za)
-    consistency = 0.5 * float(np.sum((za - pa) ** 2))
-    trace = SolveTrace(np.asarray(objectives), iterations, converged, consistency)
-    return alpha, trace
+    return a, np.array(totals), ~active, data
 
 
-def _auto_lam0(d: np.ndarray, obs: Observation) -> float:
-    zero = np.zeros(d.shape[0])
-    lam = float(np.max(np.abs(d.T @ _project_onto_feasibility(obs, zero))))
-    if lam == 0.0 and not isinstance(obs.model, GeneralLinear):
+def _as_batch(d: np.ndarray, obs, alpha0):
+    """(observations, (M, T) codes, single) from one observation with (M,)
+    codes or a sequence of T observations with (M, T) codes."""
+    single = isinstance(obs, Observation)
+    observations = [obs] if single else list(obs)
+    a = np.array(alpha0, dtype=float)
+    if single:
+        if a.ndim != 1 or a.shape[0] != d.shape[1]:
+            raise ValueError("alpha0 length must match the dictionary atom count")
+        a = a[:, None]
+    elif a.shape != (d.shape[1], len(observations)):
+        raise ValueError("alpha0 must have shape (atom_count, observation count)")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("alpha0 must be finite")
+    return observations, a, single
+
+
+def sparse_code_fixed(d: np.ndarray, obs: Union[Observation, Sequence[Observation]],
+                      alpha0: np.ndarray, cfg: SolverConfig
+                      ) -> tuple[np.ndarray, SolveTrace]:
+    """Proximal gradient descent at a fixed regularization level.
+
+    Codes one observation from an (M,) start, or a sequence of T
+    observations from an (M, T) start, one column each.  A column iterates
+    until its relative objective change drops below cfg.rel_tol or
+    cfg.max_iters is hit.  With accelerate=True the momentum scheme of fast
+    proximal methods is used; it converges faster but gives up
+    per-iteration monotonicity.
+    """
+    observations, a, single = _as_batch(d, obs, alpha0)
+    a, totals, stopped, level = _descend(d, batch_projector(observations).project,
+                                         a, cfg, _resolve_step(d, cfg.step))
+    iterations = len(totals) - 1
+    if single:
+        return a[:, 0], SolveTrace(totals, iterations, bool(stopped[0]), float(level[0]))
+    return a, SolveTrace(totals, iterations, bool(stopped.all()), level)
+
+
+def _auto_lam0(d: np.ndarray, observations: List[Observation], project_batch) -> np.ndarray:
+    lam = np.max(np.abs(d.T @ project_batch(np.zeros((d.shape[0], len(observations))))),
+                 axis=0)
+    if not isinstance(observations[0].model, GeneralLinear):
         # degenerate for one-sided sets (the origin is always feasible for
         # 1-bit data); substitute the raw observation for the projection
-        lam = float(np.max(np.abs(d.T @ obs.values)))
-    return lam if lam > 0.0 else 1.0
+        y = np.stack([o.values for o in observations], axis=1)
+        lam = np.where(lam == 0.0, np.max(np.abs(d.T @ y), axis=0), lam)
+    return np.where(lam > 0.0, lam, 1.0)
 
 
-def sparse_code_adaptive(d: np.ndarray, obs: Observation, alpha0: np.ndarray,
-                         hcfg: HomotopyConfig) -> tuple[np.ndarray, SolveTrace]:
+def sparse_code_adaptive(d: np.ndarray, obs: Union[Observation, Sequence[Observation]],
+                         alpha0: np.ndarray, hcfg: HomotopyConfig
+                         ) -> tuple[np.ndarray, SolveTrace]:
     """Warm-started homotopy over decreasing lam until consistency <= epsilon.
 
-    Each stage runs :func:`sparse_code_fixed` to convergence at the current
-    lam, starting from the previous stage's code.  If max_stages is exhausted
-    before the consistency target is met, the last iterate is returned with
+    Takes one observation with (M,) codes or a sequence of T observations
+    with (M, T) codes; every signal keeps its own lam.  Each stage makes one
+    :func:`sparse_code_fixed` call, to convergence at the current lam, on
+    the signals whose consistency is still above epsilon, starting from
+    the previous stage's codes.  If max_stages is exhausted before the
+    consistency target is met, the last iterate is returned with
     converged=False.
     """
-    alpha = np.array(alpha0, dtype=float)
-    lam = hcfg.lam0 if hcfg.lam0 is not None else _auto_lam0(d, obs)
+    observations, a, single = _as_batch(d, obs, alpha0)
+    project_batch = batch_projector(observations).project
+    inner = replace(hcfg.inner, step=_resolve_step(d, hcfg.inner.step))
+    t_count = a.shape[1]
+    if hcfg.lam0 is not None:
+        lam = np.full(t_count, float(hcfg.lam0))
+    else:
+        lam = _auto_lam0(d, observations, project_batch)
+    z = d @ a
+    level = 0.5 * np.sum((z - project_batch(z)) ** 2, axis=0)
     stages: List[StageRecord] = []
-    objectives: List[float] = []
+    objectives = [np.empty(0)]
     total_iters = 0
-    converged = False
     for _ in range(hcfg.max_stages):
-        if consistency_level(d, alpha, obs) <= hcfg.epsilon:
-            converged = True
+        run = np.flatnonzero(level > hcfg.epsilon)
+        if run.size == 0:
             break
-        cfg_k = replace(hcfg.inner, regularizer=L1(lam))
-        alpha, tr = sparse_code_fixed(d, obs, alpha, cfg_k)
-        psi = float(np.sum(np.abs(alpha)))
-        stages.append(StageRecord(lam, tr.consistency, psi, tr.iterations))
-        objectives.extend(tr.objectives.tolist())
+        codes, tr = sparse_code_fixed(d, [observations[t] for t in run], a[:, run],
+                                      replace(inner, regularizer=L1(lam[run])))
+        a[:, run] = codes
+        level[run] = tr.consistency
+        stage_lam = np.full(t_count, np.nan)
+        stage_lam[run] = lam[run]
+        stages.append(StageRecord(stage_lam, level.copy(),
+                                  np.sum(np.abs(a), axis=0), tr.iterations))
+        objectives.append(tr.objectives)
         total_iters += tr.iterations
-        lam *= hcfg.decay
-    final = consistency_level(d, alpha, obs)
-    if not converged:
-        converged = final <= hcfg.epsilon
-    trace = SolveTrace(np.asarray(objectives), total_iters, converged, final, stages)
-    return alpha, trace
+        lam = lam * hcfg.decay
+    converged = bool(np.all(level <= hcfg.epsilon))
+    objectives = np.concatenate(objectives)
+    if single:
+        stages = [StageRecord(float(s.lam[0]), float(s.consistency[0]),
+                              float(s.penalty[0]), s.iterations) for s in stages]
+        return a[:, 0], SolveTrace(objectives, total_iters, converged,
+                                   float(level[0]), stages)
+    return a, SolveTrace(objectives, total_iters, converged, level, stages)
 
 
 # ---------------------------------------------------------------------------
 # batched solving across many observations (shared dictionary)
-
-
-class _BoxProjectorBatch:
-    """Stacked per-sample intervals for T observations; projects (N, T) arrays."""
-
-    def __init__(self, interval_sets):
-        self.lower = np.stack([iv.lower for iv in interval_sets], axis=1)
-        self.upper = np.stack([iv.upper for iv in interval_sets], axis=1)
-        self.lower_bounded = np.stack([iv.lower_bounded for iv in interval_sets], axis=1)
-        self.upper_bounded = np.stack([iv.upper_bounded for iv in interval_sets], axis=1)
-
-    def project(self, z: np.ndarray) -> np.ndarray:
-        out = np.where(self.lower_bounded, np.maximum(z, self.lower), z)
-        return np.where(self.upper_bounded, np.minimum(out, self.upper), out)
-
-
-class _LinearProjectorBatch:
-    def __init__(self, observations):
-        self.observations = list(observations)
-        first = self.observations[0]
-        self.shared = all(o.model is first.model for o in self.observations)
-        if self.shared:
-            self.model = first.model
-            self.values = np.stack([o.values for o in self.observations], axis=1)
-            self._cache = first._cache
-
-    def project(self, z: np.ndarray) -> np.ndarray:
-        if self.shared:
-            m = self.model.matrix
-            from .measurements import _linear_gram
-
-            gram = _linear_gram(self.model, self._cache)
-            w = np.linalg.solve(gram, m @ z - self.values)
-            return z - m.T @ w
-        cols = [
-            project_linear(o.model, o.values, z[:, t], _cache=o._cache)
-            for t, o in enumerate(self.observations)
-        ]
-        return np.stack(cols, axis=1)
 
 
 def batch_projector(observations: Sequence[Observation]):
@@ -313,17 +353,21 @@ def batch_projector(observations: Sequence[Observation]):
     obs = list(observations)
     if not obs:
         raise ValueError("need at least one observation")
-    if isinstance(obs[0].model, GeneralLinear):
-        return _LinearProjectorBatch(obs)
-    return _BoxProjectorBatch([o.intervals() for o in obs])
+    first = obs[0]
+    if not isinstance(first.model, GeneralLinear):
+        stacked = IntervalSet(*(np.stack([getattr(o.intervals(), f.name) for o in obs],
+                                         axis=1) for f in fields(IntervalSet)))
+        return SimpleNamespace(project=partial(project, stacked))
+    if all(o.model is first.model for o in obs):
+        y = np.stack([o.values for o in obs], axis=1)
+        return SimpleNamespace(project=partial(project_linear, first.model, y,
+                                               _cache=first._cache))
 
+    def project_columns(z):
+        return np.stack([project_linear(o.model, o.values, z[:, t], _cache=o._cache)
+                         for t, o in enumerate(obs)], axis=1)
 
-def _batch_objective(reg: Regularizer, z: np.ndarray, p: np.ndarray,
-                     a: np.ndarray) -> np.ndarray:
-    data = 0.5 * np.sum((z - p) ** 2, axis=0)
-    if isinstance(reg, L1):
-        return data + reg.lam * np.sum(np.abs(a), axis=0)
-    return data
+    return SimpleNamespace(project=project_columns)
 
 
 def sparse_code_batch(d: np.ndarray, projector, a0: np.ndarray, cfg: SolverConfig,
@@ -340,36 +384,6 @@ def sparse_code_batch(d: np.ndarray, projector, a0: np.ndarray, cfg: SolverConfi
     a = np.array(a0, dtype=float)
     if a.ndim != 2 or a.shape[0] != d.shape[1]:
         raise ValueError("a0 must have shape (atom_count, T)")
-    mu = step if step is not None else _resolve_step(cfg, d)
-    reg = cfg.regularizer
-
-    z = d @ a
-    p = projector.project(z)
-    fcols = _batch_objective(reg, z, p, a)
-    totals = [float(fcols.sum())]
-    active = np.ones(a.shape[1], dtype=bool)
-    if stop_consistency is not None:
-        active &= 0.5 * np.sum((z - p) ** 2, axis=0) > stop_consistency
-    for k in range(1, cfg.max_iters + 1):
-        if not active.any():
-            break
-        cand = _prox_cols(reg, a + mu * (d.T @ (p - z)), mu)
-        a = np.where(active[None, :], cand, a)
-        z = d @ a
-        p = projector.project(z)
-        fcols_new = _batch_objective(reg, z, p, a)
-        if not np.all(np.isfinite(fcols_new[active])):
-            raise DivergenceError(f"objective diverged at iteration {k}")
-        totals.append(float(fcols_new.sum()))
-        delta = np.abs(fcols - fcols_new)
-        active &= delta > cfg.rel_tol * np.maximum(fcols, 1e-300)
-        if stop_consistency is not None:
-            active &= 0.5 * np.sum((z - p) ** 2, axis=0) > stop_consistency
-        fcols = fcols_new
-    return a, np.asarray(totals)
-
-
-def _prox_cols(reg: Regularizer, a: np.ndarray, step: float) -> np.ndarray:
-    if isinstance(reg, L1):
-        return prox_l1(a, reg.lam * step)
-    return prox_l0_topk(a, reg.k)
+    mu = step if step is not None else _resolve_step(d, cfg.step)
+    a, totals, _, _ = _descend(d, projector.project, a, cfg, mu, stop_consistency)
+    return a, totals

@@ -199,6 +199,14 @@ class TestErrors:
         rc = main(["declip", str(tmp_path / "nope.wav"), "--theta", "0.3"])
         assert rc == 1
 
+    @pytest.mark.parametrize("command", [["declip", "--theta", "0.3"], ["learn-dict"]])
+    def test_empty_wav(self, tmp_path, capsys, command):
+        path = tmp_path / "empty.wav"
+        wav_write(path, np.zeros(0), 16000)
+        rc = main([command[0], str(path)] + command[1:] + ["--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"{path}: no audio samples" in capsys.readouterr().err
+
     def test_bad_dict_spec(self, voice_wav):
         rc = main(["declip", voice_wav, "--theta", "0.3", "--dict", "magic"])
         assert rc == 1

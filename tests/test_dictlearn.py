@@ -182,6 +182,20 @@ class TestLearn:
             learn(train, dct_dictionary(8, 12), cfg)
         assert any("never activated" in r.message for r in caplog.records)
 
+    def test_unused_atom_warning_is_a_summary(self, caplog):
+        rng = np.random.default_rng(11)
+        train, _, _ = _training_set(rng)
+        cfg = DictLearnConfig(inner_code=SolverConfig(L0(1), max_iters=5),
+                              outer_iters=1, inner_dict_iters=2)
+        with caplog.at_level("WARNING", logger="nlcs.dictlearn"):
+            _, codes, _ = learn(train, dct_dictionary(8, 64), cfg)
+        unused = np.flatnonzero(~np.any(codes != 0.0, axis=1))
+        assert unused.size > 10
+        (message,) = [r.getMessage() for r in caplog.records
+                      if "never activated" in r.getMessage()]
+        assert message.startswith(f"{unused.size} atoms")
+        assert message.endswith(f"{unused[:10].tolist()})")
+
 
 class TestTrainingSetValidation:
     def test_mixed_models_rejected(self):

@@ -129,6 +129,14 @@ class TestProject:
         with pytest.raises(ValueError):
             IntervalSet(np.array([1.0]), np.array([0.0]),
                         np.array([True]), np.array([True]))
+        # (N, T): one signal per column, projected column by column
+        lo = np.array([[0.0, -1.0], [0.5, 0.0]])
+        bounded = np.array([[True, False], [True, True]])
+        iv = IntervalSet(lo, lo + 1.0, bounded, bounded)
+        x = np.array([[-3.0, -3.0], [3.0, 0.5]])
+        assert np.array_equal(project(iv, x), np.array([[0.0, -3.0], [1.5, 0.5]]))
+        with pytest.raises(ValueError, match="1-d or 2-d"):
+            IntervalSet(lo[None], lo[None], bounded[None], bounded[None])
 
 
 class TestProjectLinear:

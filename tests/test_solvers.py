@@ -247,6 +247,36 @@ class TestBatchSolver:
             f_single = objective(d, single, obs, cfg)
             assert abs(f_batch - f_single) < 1e-6
 
+    def test_accelerate_matches_per_column(self):
+        rng = np.random.default_rng(19)
+        problems = [_clip_problem(rng) for _ in range(8)]
+        d = problems[0][0]
+        observations = [apply_measurement(Clip(0.5, -0.5), p[2]) for p in problems]
+        cfg = SolverConfig(L1(1e-2), max_iters=150, accelerate=True)
+        a0 = np.zeros((d.shape[1], len(observations)))
+        batch, _ = sparse_code_batch(d, batch_projector(observations), a0, cfg)
+        for t, obs in enumerate(observations):
+            single, _ = sparse_code_fixed(d, obs, a0[:, t], cfg)
+            assert np.abs(batch[:, t] - single).max() <= 1e-12
+
+    @pytest.mark.parametrize("family", ["clip", "quant"])
+    def test_batched_homotopy_matches_single_signals(self, family):
+        rng = np.random.default_rng(21)
+        problems = [random_sparse_problem(family, rng, n=32, m=64, k=4) for _ in range(8)]
+        d = problems[0][0]
+        observations = [apply_measurement(problems[0][3].model, p[2]) for p in problems]
+        hcfg = HomotopyConfig(SolverConfig(L1(1.0), max_iters=400), epsilon=1e-3)
+        a0 = np.zeros((64, len(observations)))
+        batch, trace = sparse_code_adaptive(d, observations, a0, hcfg)
+        assert isinstance(trace.iterations, int) and isinstance(trace.converged, bool)
+        stage_counts = np.sum([~np.isnan(s.lam) for s in trace.stages], axis=0)
+        assert len(set(stage_counts)) > 1  # some columns sit late stages out
+        for t, obs in enumerate(observations):
+            single, tr = sparse_code_adaptive(d, obs, a0[:, t], hcfg)
+            assert stage_counts[t] == len(tr.stages)
+            assert np.abs(batch[:, t] - single).max() <= 1e-10
+            assert trace.consistency[t] == pytest.approx(tr.consistency, abs=1e-12)
+
     def test_stop_consistency_threshold(self):
         rng = np.random.default_rng(18)
         d, _, x, _ = _clip_problem(rng)
