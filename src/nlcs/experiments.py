@@ -196,15 +196,17 @@ def _frame_observations(obs_full: Observation, spec: FrameSpec) -> List[Observat
     return [Observation(y[:, j], model) for j in range(y.shape[1])]
 
 
-def _classical_init(d, observations, k: Optional[int]) -> np.ndarray:
+def _classical_init(d, observations, k: Optional[int],
+                    step: Optional[float] = None) -> np.ndarray:
     """One classical gradient step on the raw observation vectors.
 
     Used to seed the hard-thresholding coder: the origin is a fixed point of
     the 1-bit data cost, and for quantized data a zero start converges to
-    the shrunk consistent point at the inner bin edges.
+    the shrunk consistent point at the inner bin edges.  The step defaults
+    to 1 / ||D||_2^2.
     """
     y = np.stack([o.values for o in observations], axis=1)
-    a0 = _resolve_step(d) * (d.T @ y)
+    a0 = _resolve_step(d, step) * (d.T @ y)
     if k is not None:
         a0 = prox_l0_topk(a0, k)
     return a0
@@ -278,10 +280,12 @@ def run_audio(task: str, samples: np.ndarray, frame_spec: FrameSpec,
     codes = None
     if method in ("iht", "baseline"):
         cfg = SolverConfig(L0(params.k), max_iters=params.iters, rel_tol=params.rel_tol)
+        step = None
         if method == "baseline":
             a0 = np.zeros((d.shape[1], len(solve_obs)))
         else:
-            a0 = _classical_init(d, solve_obs, params.k)
+            step = _resolve_step(d)  # shared by the init and the coder
+            a0 = _classical_init(d, solve_obs, params.k, step)
         if learn_dict and method != "baseline":
             dl = DictLearnConfig(inner_code=replace(cfg, max_iters=params.inner_iters),
                                  outer_iters=params.outer_iters,
@@ -290,7 +294,7 @@ def run_audio(task: str, samples: np.ndarray, frame_spec: FrameSpec,
         else:
             projector = batch_projector(solve_obs)
             thresholds = None if stop is None else np.full(len(solve_obs), stop)
-            codes, _ = sparse_code_batch(d, projector, a0, cfg,
+            codes, _ = sparse_code_batch(d, projector, a0, cfg, step=step,
                                          stop_consistency=thresholds)
     elif method in ("fixed", "adaptive"):
         if learn_dict:

@@ -81,21 +81,35 @@ def prox_l1(v: np.ndarray, threshold: float) -> np.ndarray:
 def prox_l0_topk(v: np.ndarray, sparsity: int) -> np.ndarray:
     """Keep the ``sparsity`` largest-magnitude entries of v, zero the rest.
 
-    Magnitude ties are broken in favour of the lowest index.
+    v is (M,) or (M, T); for (M, T) every column is treated on its own.
+    Magnitude ties are broken in favour of the lowest index, and NaN entries
+    rank below every number, so they are kept only when a column has fewer
+    than ``sparsity`` numbers.  The k-th largest magnitude comes from
+    ``np.partition``: O(M) per column on average, against O(M log M) for a
+    sort, plus an O(M) scan of the tied entries when some column has more
+    ties at that magnitude than free slots.
     """
     v = np.asarray(v, dtype=float)
     if not 1 <= sparsity <= v.shape[0]:
         raise ValueError(
             f"sparsity must be in [1, {v.shape[0]}], got {sparsity}"
         )
-    # stable sort on -|v| keeps the earliest index first among ties
-    order = np.argsort(-np.abs(v), axis=0, kind="stable")
-    out = np.zeros_like(v)
-    if v.ndim == 1:
-        keep = order[:sparsity]
-        out[keep] = v[keep]
-    else:
-        keep = order[:sparsity]
-        cols = np.arange(v.shape[1])[None, :]
-        out[keep, cols] = v[keep, cols]
-    return out
+    # partition -|v| so NaN, which partition puts last, ranks as smallest
+    mag = np.abs(v)
+    np.negative(mag, out=mag)
+    mag.partition(sparsity - 1, axis=0)
+    kth = -mag[sparsity - 1]
+    np.abs(v, out=mag)
+    keep = mag > kth
+    ties = mag == kth
+    if np.isnan(kth).any():
+        # fewer than k numbers: keep them all, fill up with the first NaNs
+        short = np.isnan(kth)
+        keep |= short & ~np.isnan(mag)
+        ties |= short & np.isnan(mag)
+    del mag  # free it before the output is allocated
+    free = sparsity - keep.sum(axis=0)
+    if np.any(ties.sum(axis=0) > free):
+        ties &= np.cumsum(ties, axis=0) <= free
+    keep |= ties
+    return np.where(keep, v, 0.0)

@@ -130,6 +130,9 @@ class GeneralQuantizer:
 
     edges: np.ndarray
     codewords: np.ndarray
+    # ascending codewords and their original indices, for the bin lookup
+    _sorted: np.ndarray = field(init=False, repr=False)
+    _order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         e = np.asarray(self.edges, dtype=float)
@@ -144,6 +147,9 @@ class GeneralQuantizer:
             raise ValueError("codewords must be distinct")
         object.__setattr__(self, "edges", e)
         object.__setattr__(self, "codewords", c)
+        order = np.argsort(c)
+        object.__setattr__(self, "_sorted", c[order])
+        object.__setattr__(self, "_order", order)
 
 
 @dataclass(frozen=True)
@@ -352,9 +358,22 @@ def apply_measurement(model: MeasurementModel, x) -> Observation:
 
 
 def _quantizer_bin_index(model: GeneralQuantizer, values) -> np.ndarray:
-    diff = np.abs(values[:, None] - model.codewords[None, :])
-    idx = np.argmin(diff, axis=1)
-    best = model.codewords[idx]
+    """Index of the codeword nearest each value, ties to the lower index.
+
+    A binary search over the sorted codewords finds the two neighbours of
+    each value, so the cost is O(N log B) time and O(N) memory for N values
+    and B codewords.
+    """
+    c = model.codewords
+    order = model._order
+    pos = np.searchsorted(model._sorted, values)
+    below = order[np.maximum(pos - 1, 0)]
+    above = order[np.minimum(pos, c.shape[0] - 1)]
+    d_below = np.abs(values - c[below])
+    d_above = np.abs(values - c[above])
+    take_above = (d_above < d_below) | ((d_above == d_below) & (above < below))
+    idx = np.where(take_above, above, below)
+    best = c[idx]
     tol = VALUE_MATCH_RTOL * np.maximum(1.0, np.abs(best))
     if np.any(np.abs(values - best) > tol):
         raise ValueError("observation values are not legal quantizer codewords")

@@ -219,7 +219,9 @@ def _descend(d: np.ndarray, project_batch, a: np.ndarray, cfg: SolverConfig,
     for k in range(1, cfg.max_iters + 1):
         if not active.any():
             break
-        a_new = np.where(active, _prox(reg, w + mu * (d.T @ (pw - zw)), mu), a)
+        a_new = _prox(reg, w + mu * (d.T @ (pw - zw)), mu)
+        if not active.all():
+            a_new = np.where(active, a_new, a)
         z_new = d @ a_new
         p_new = project_batch(z_new)
         data = 0.5 * np.sum((z_new - p_new) ** 2, axis=0)

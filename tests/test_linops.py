@@ -91,6 +91,24 @@ class TestProxL1:
             assert lhs <= np.linalg.norm(a - b) + 1e-12
 
 
+def topk_by_stable_sort(v, k):
+    """Reference top-K: stable argsort of -|v|, lowest index first among ties."""
+    v = np.asarray(v, dtype=float)
+    keep = np.argsort(-np.abs(v), axis=0, kind="stable")[:k]
+    out = np.zeros_like(v)
+    if v.ndim == 1:
+        out[keep] = v[keep]
+    else:
+        cols = np.arange(v.shape[1])[None, :]
+        out[keep, cols] = v[keep, cols]
+    return out
+
+
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()  # also tells -0.0 from 0.0 and NaN apart
+
+
 class TestProxL0TopK:
     def test_magnitude_ranking(self):
         out = prox_l0_topk(np.array([3.0, -1.0, 2.0]), 2)
@@ -130,3 +148,34 @@ class TestProxL0TopK:
                 u[list(supp)] = v[list(supp)]
                 best = min(best, np.sum((u - v) ** 2))
             assert np.sum((out - v) ** 2) == pytest.approx(best, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(7,), (9, 5), (16, 3)])
+    def test_matches_stable_sort_on_ties(self, shape):
+        # small integers give many magnitude ties, so the tie rule decides
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            v = rng.integers(-3, 4, size=shape).astype(float)
+            for k in range(1, shape[0] + 1):
+                assert_bitwise_equal(prox_l0_topk(v, k), topk_by_stable_sort(v, k))
+
+    def test_matches_stable_sort_on_zero_columns_and_negative_zero(self):
+        rng = np.random.default_rng(18)
+        v = rng.integers(-2, 3, size=(8, 6)).astype(float)
+        v[:, 0] = 0.0
+        v[:, 1] = -0.0
+        v[rng.random(v.shape) < 0.3] = -0.0
+        for k in range(1, 9):
+            assert_bitwise_equal(prox_l0_topk(v, k), topk_by_stable_sort(v, k))
+            assert_bitwise_equal(prox_l0_topk(v[:, 2], k), topk_by_stable_sort(v[:, 2], k))
+
+    def test_matches_stable_sort_with_nan(self):
+        # NaN ranks below every number and fills up columns short of k numbers
+        v = np.array([[np.nan, 1.0, np.nan, np.nan],
+                      [2.0, np.nan, np.nan, -0.0],
+                      [-2.0, 3.0, np.nan, np.nan],
+                      [np.nan, -1.0, 5.0, 1.0]])
+        for k in range(1, 5):
+            assert_bitwise_equal(prox_l0_topk(v, k), topk_by_stable_sort(v, k))
+            for t in range(v.shape[1]):
+                assert_bitwise_equal(prox_l0_topk(v[:, t], k),
+                                     topk_by_stable_sort(v[:, t], k))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,8 @@ from nlcs.measurements import (
     project,
     project_linear,
 )
-from nlcs.pipeline import wav_read, wav_write
+from nlcs.measurements import _quantizer_bin_index
+from nlcs.pipeline import uniform_quantizer_for_bits, wav_read, wav_write
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +102,66 @@ class TestFeasibilityIntervals:
         obs = apply_measurement(GeneralLinear(np.eye(3)), np.zeros(3))
         with pytest.raises(ValueError):
             feasibility_intervals(obs)
+
+
+def dense_bin_index(model, values):
+    """Reference lookup: argmin over the full value-by-codeword distance matrix."""
+    return np.argmin(np.abs(values[:, None] - model.codewords[None, :]), axis=1)
+
+
+class TestQuantizerBinIndex:
+    @pytest.mark.parametrize("bits", range(1, 13))
+    def test_matches_dense_argmin_uniform(self, bits):
+        rng = np.random.default_rng(bits)
+        q = uniform_quantizer_for_bits(bits)
+        c = q.codewords
+        picks = np.concatenate([[0, c.shape[0] - 1], rng.integers(0, c.shape[0], 300)])
+        values = c[picks] + rng.uniform(-1e-10, 1e-10, picks.shape[0])
+        idx = _quantizer_bin_index(q, values)
+        assert np.array_equal(idx, dense_bin_index(q, values))
+        assert np.array_equal(idx, picks)
+
+    def test_matches_dense_argmin_non_monotone(self):
+        rng = np.random.default_rng(3)
+        q = GeneralQuantizer(np.array([-np.inf, -1.0, 0.0, 0.5, 2.0, np.inf]),
+                             np.array([0.7, -3.0, 5.0, -0.2, 1.1]))
+        picks = rng.integers(0, 5, 200)
+        values = q.codewords[picks] + rng.uniform(-1e-10, 1e-10, 200)
+        assert np.array_equal(_quantizer_bin_index(q, values),
+                              dense_bin_index(q, values))
+
+    @pytest.mark.parametrize("codewords", [[1e-9, 0.0], [0.0, 1e-9]])
+    def test_exact_tie_goes_to_lower_index(self, codewords):
+        # 5e-10 is legal for both codewords and exactly halfway between them
+        q = GeneralQuantizer(np.array([-np.inf, 0.0, np.inf]), np.array(codewords))
+        values = np.array([5e-10])
+        assert _quantizer_bin_index(q, values).tolist() == [0]
+        assert np.array_equal(_quantizer_bin_index(q, values), dense_bin_index(q, values))
+
+    def test_value_within_tolerance_accepted(self):
+        q = uniform_quantizer_for_bits(4)
+        iv = feasibility_intervals(Observation(np.array([q.codewords[5] + 1e-10]), q))
+        assert iv.lower[0] == q.edges[5] and iv.upper[0] == q.edges[6]
+
+    def test_illegal_value_rejected(self):
+        q = uniform_quantizer_for_bits(4)
+        illegal = q.codewords[5] + 1e-3
+        with pytest.raises(ValueError,
+                           match="^observation values are not legal quantizer codewords$"):
+            feasibility_intervals(Observation(np.array([0.0625, illegal]), q))
+
+    def test_memory_does_not_scale_with_codeword_count(self):
+        # a dense 4096 x 65536 distance matrix would take 2 GiB
+        q = uniform_quantizer_for_bits(16)
+        obs = apply_measurement(q, np.random.default_rng(4).uniform(-1, 1, 4096))
+        tracemalloc.start()
+        try:
+            iv = feasibility_intervals(obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(iv) == 4096
+        assert peak < 4 * 2**20
 
 
 class TestProject:
