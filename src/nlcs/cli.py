@@ -28,17 +28,16 @@ from .dictlearn import (
 from .experiments import (
     AUDIO_TASKS,
     SolveParams,
-    _frame_observations,
+    frame_observations,
     run_audio,
     run_synth,
 )
 from .linops import dct_dictionary
-from .measurements import Clip, Identity, OneBit, apply_measurement
+from .measurements import Clip, Identity, OneBit
 from .pipeline import (
     EvalRow,
     FrameSpec,
     SyntheticSpec,
-    _pad_to_frame_grid,
     uniform_quantizer_for_bits,
     wav_read,
     wav_write,
@@ -354,23 +353,17 @@ def cmd_baseline(cfg: RunConfig) -> int:
 
 def cmd_learn_dict(cfg: RunConfig) -> int:
     samples, _ = wav_read(cfg.input)
-    peak = np.max(np.abs(samples))
-    if peak == 0.0:
-        raise ValueError("input signal is identically zero")
-    x = samples / peak
-    frame_spec = FrameSpec(cfg.frame, cfg.overlap)
-    x_pad = _pad_to_frame_grid(x, frame_spec)
     theta = cfg.theta[0] if cfg.theta else 0.2
     bits = cfg.bits[0] if cfg.bits else 3
     if cfg.distortion == "clip":
-        obs_full = apply_measurement(Clip(theta, -theta), x_pad)
+        model = Clip(theta, -theta)
     elif cfg.distortion == "quant":
-        obs_full = apply_measurement(uniform_quantizer_for_bits(bits), x_pad)
+        model = uniform_quantizer_for_bits(bits)
     elif cfg.distortion == "onebit":
-        obs_full = apply_measurement(OneBit(), x_pad)
+        model = OneBit()
     else:
-        obs_full = apply_measurement(Identity(), x_pad)
-    observations = _frame_observations(obs_full, frame_spec)
+        model = Identity()
+    observations, _ = frame_observations(samples, FrameSpec(cfg.frame, cfg.overlap), model)
     d0 = _load_dict(cfg, cfg.frame)
     inner = SolverConfig(L0(cfg.k), max_iters=cfg.inner_iters)
     dl = DictLearnConfig(inner_code=inner, outer_iters=cfg.iters,

@@ -16,13 +16,13 @@ from __future__ import annotations
 import logging
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from .linops import spectral_norm
 from .measurements import Observation
-from .solvers import SolverConfig, _penalty, batch_projector, sparse_code_batch
+from .solvers import SolverConfig, _penalty, batch_projector, sparse_code_fixed
 
 __all__ = [
     "DictLearnConfig",
@@ -46,15 +46,12 @@ class DictLearnConfig:
     inner_code: SolverConfig
     outer_iters: int = 50
     inner_dict_iters: int = 20
-    dict_step: Optional[float] = None  # None -> 1 / ||A||_2^2
 
     def __post_init__(self):
         if self.outer_iters < 0:
             raise ValueError("outer_iters must be >= 0")
         if self.inner_dict_iters < 1:
             raise ValueError("inner_dict_iters must be >= 1")
-        if self.dict_step is not None and not self.dict_step > 0:
-            raise ValueError("dict_step must be positive")
 
 
 @dataclass(eq=False)
@@ -97,15 +94,11 @@ def project_dictionary(d: np.ndarray) -> np.ndarray:
     return d / np.maximum(norms, 1.0)
 
 
-def _as_code_matrix(codes, atom_count: int) -> np.ndarray:
+def _as_code_matrix(codes, atom_count: int, count: int) -> np.ndarray:
     a = np.asarray(codes, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    elif a.ndim != 2:
-        # a sequence of per-signal code vectors
-        a = np.stack([np.asarray(c, dtype=float) for c in codes], axis=1)
-    if a.shape[0] != atom_count:
-        raise ValueError("codes must have one row per dictionary atom")
+    if a.shape != (atom_count, count):
+        raise ValueError(f"codes must have shape {(atom_count, count)} (atoms, "
+                         f"training signals), got {a.shape}")
     return a
 
 
@@ -117,20 +110,16 @@ def dict_update(d: np.ndarray, codes, train: TrainingSet, cfg: DictLearnConfig,
     the total data cost before the first and after every inner step.
     """
     d = np.asarray(d, dtype=float)
-    a = _as_code_matrix(codes, d.shape[1])
-    if a.shape[1] != len(train):
-        raise ValueError("need one code per training observation")
+    a = _as_code_matrix(codes, d.shape[1], len(train))
     projector = batch_projector(train.observations)
-    mu2 = cfg.dict_step
-    if mu2 is None:
-        s = spectral_norm(a)
-        if s == 0.0:
-            # all-zero codes: the gradient vanishes, nothing to update
-            if record_objective:
-                obj = _total_objective(d, a, projector)
-                return d.copy(), np.full(cfg.inner_dict_iters + 1, obj)
-            return d.copy()
-        mu2 = 1.0 / (s * s)
+    s = spectral_norm(a)
+    if s == 0.0:
+        # all-zero codes: the gradient vanishes, nothing to update
+        if record_objective:
+            obj = _total_objective(d, a, projector)
+            return d.copy(), np.full(cfg.inner_dict_iters + 1, obj)
+        return d.copy()
+    mu2 = 1.0 / (s * s)
 
     objectives = []
     if record_objective:
@@ -171,19 +160,16 @@ def learn(train: TrainingSet, d0: np.ndarray, cfg: DictLearnConfig,
     if np.any(norms > 1.0 + COLUMN_NORM_SLACK):
         raise ValueError("initial dictionary violates the unit column-norm constraint")
 
-    t_count = len(train)
     if init_codes is None:
-        a = np.zeros((d.shape[1], t_count))
+        a = np.zeros((d.shape[1], len(train)))
     else:
-        a = _as_code_matrix(init_codes, d.shape[1]).copy()
-        if a.shape[1] != t_count:
-            raise ValueError("need one initial code per training observation")
+        a = _as_code_matrix(init_codes, d.shape[1], len(train)).copy()
 
     projector = batch_projector(train.observations)
     reg = cfg.inner_code.regularizer
     trace = LearnTrace()
     for _ in range(cfg.outer_iters):
-        a, _ = sparse_code_batch(d, projector, a, cfg.inner_code)
+        a, _ = sparse_code_fixed(d, train.observations, a, cfg.inner_code)
         trace.after_coding.append(_total_objective(d, a, projector, reg))
 
         d = dict_update(d, a, train, cfg)

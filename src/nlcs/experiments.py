@@ -23,6 +23,7 @@ from .measurements import (
     GeneralQuantizer,
     Identity,
     Mask,
+    MeasurementModel,
     Observation,
     OneBit,
     UniformQuantizer,
@@ -49,7 +50,6 @@ from .solvers import (
     _resolve_step,
     batch_projector,
     sparse_code_adaptive,
-    sparse_code_batch,
     sparse_code_fixed,
 )
 
@@ -57,6 +57,7 @@ __all__ = [
     "SolveParams",
     "run_synth",
     "run_audio",
+    "frame_observations",
     "AUDIO_TASKS",
 ]
 
@@ -88,57 +89,74 @@ def _quant_delta(model) -> float:
     raise TypeError(f"not a quantizer model: {model!r}")
 
 
-def _baseline_observation(obs: Observation, task: str) -> tuple[Observation, Optional[float]]:
-    """Classical linear treatment of a nonlinear observation.
+def _baseline_observations(observations: Sequence[Observation], task: str
+                           ) -> tuple[List[Observation], Optional[float]]:
+    """Classical linear treatment of a batch of nonlinear observations.
 
-    Returns the substituted observation and, for dequantization, the data
+    Returns the substituted observations and, for dequantization, the data
     term level 0.5 * N * delta^2 / 12 at which the solver should stop
-    (quantization error treated as noise of variance delta^2 / 12).
+    (quantization error treated as noise of variance delta^2 / 12); one
+    model and one length per batch give one level.
     """
     if task == "declip":
-        return Observation(obs.values, Mask(obs.reliable)), None
+        return [Observation(o.values, Mask(o.reliable)) for o in observations], None
     if task == "dequant":
-        delta = _quant_delta(obs.model)
-        n = obs.values.shape[0]
-        return Observation(obs.values, Identity()), 0.5 * n * delta * delta / 12.0
-    if task == "onebit":
-        return Observation(obs.values, Identity()), None
-    raise ValueError(f"unknown task {task!r}")
-
-
-def _solve(d, observations, method, params: SolveParams, a0=None) -> np.ndarray:
-    """Code a batch of observations with one coder call; (M, T) codes."""
-    if a0 is None:
-        a0 = np.zeros((d.shape[1], len(observations)))
-    if method == "fixed":
-        cfg = SolverConfig(L1(params.lam), max_iters=params.iters, rel_tol=params.rel_tol)
-        codes, _ = sparse_code_fixed(d, observations, a0, cfg)
-    elif method == "adaptive":
-        inner = SolverConfig(L1(params.lam), max_iters=params.iters, rel_tol=params.rel_tol)
-        hcfg = HomotopyConfig(inner, epsilon=params.epsilon, decay=params.decay)
-        codes, _ = sparse_code_adaptive(d, observations, a0, hcfg)
-    elif method == "iht":
-        cfg = SolverConfig(L0(params.k), max_iters=params.iters, rel_tol=params.rel_tol)
-        codes, _ = sparse_code_fixed(d, observations, a0, cfg)
+        delta = _quant_delta(observations[0].model)
+        n = observations[0].values.shape[0]
+        stop = 0.5 * n * delta * delta / 12.0
+    elif task == "onebit":
+        stop = None
     else:
+        raise ValueError(f"unknown task {task!r}")
+    return [Observation(o.values, Identity()) for o in observations], stop
+
+
+def _solve(d, observations, method, params: SolveParams, *,
+           classical_start: bool = False, stop: Optional[float] = None) -> np.ndarray:
+    """Code a batch of observations with one coder call; (M, T) codes.
+
+    method picks the coder: fixed-lam l1, the l1 homotopy (adaptive) or
+    hard thresholding (iht).  The start is zero or, with classical_start,
+    one classical gradient step (top-K thresholded for iht), taken with
+    the coder's own step 1 / ||D||_2^2.  stop is a data term level: the
+    homotopy's target (params.epsilon when None), else an early stop.
+    """
+    if method not in ("fixed", "adaptive", "iht"):
         raise ValueError(f"unknown method {method!r}")
+    step = _resolve_step(d)
+    k = params.k if method == "iht" else None
+    if classical_start:
+        a0 = _classical_init(d, observations, k, step)
+    else:
+        a0 = np.zeros((d.shape[1], len(observations)))
+    reg = L1(params.lam) if k is None else L0(k)
+    cfg = SolverConfig(reg, step=step, max_iters=params.iters, rel_tol=params.rel_tol)
+    if method == "adaptive":
+        eps = params.epsilon if stop is None else stop
+        hcfg = HomotopyConfig(cfg, epsilon=eps, decay=params.decay)
+        codes, _ = sparse_code_adaptive(d, observations, a0, hcfg)
+    else:
+        codes, _ = sparse_code_fixed(d, observations, a0, cfg, stop_consistency=stop)
     return codes
+
+
+def _estimate(d, codes, observations) -> np.ndarray:
+    """(N, T) final signal estimates: D a re-projected onto the feasibility
+    sets, or D a itself for noisy (Identity) and 1-bit observations."""
+    z = d @ codes
+    if isinstance(observations[0].model, (Identity, OneBit)):
+        return z
+    return batch_projector(observations).project(z)
 
 
 def _synth_estimates(d, observations, method, task, params: SolveParams) -> np.ndarray:
     """Solve a batch of synthetic instances; (N, T) final signal estimates."""
     if method == "baseline":
-        base = [_baseline_observation(o, task) for o in observations]
-        base_obs = [b for b, _ in base]
-        stop = base[0][1]  # one model and length per batch: one noise floor
-        eps = stop if stop is not None else params.epsilon
-        z = d @ _solve(d, base_obs, "adaptive", replace(params, epsilon=eps))
-        if task == "declip":
-            return batch_projector(base_obs).project(z)  # restore reliable samples
-        return z
-    a0 = _classical_init(d, observations, params.k) if method == "iht" else None
-    codes = _solve(d, observations, method, params, a0)
-    return batch_projector(observations).project(d @ codes)
+        observations, stop = _baseline_observations(observations, task)
+        codes = _solve(d, observations, "adaptive", params, stop=stop)
+    else:
+        codes = _solve(d, observations, method, params, classical_start=method == "iht")
+    return _estimate(d, codes, observations)
 
 
 def run_synth(spec: SyntheticSpec, distortion: str, levels: Sequence,
@@ -184,16 +202,29 @@ def run_synth(spec: SyntheticSpec, distortion: str, levels: Sequence,
 # audio-scale processing
 
 
-def _frame_observations(obs_full: Observation, spec: FrameSpec) -> List[Observation]:
-    y = frame_signal(obs_full.values, spec)
-    model = obs_full.model
-    if isinstance(model, Clip):
-        r = frame_signal(obs_full.reliable, spec)
-        p = frame_signal(obs_full.clip_pos, spec) & ~r
-        n = ~(r | p)
-        return [Observation(y[:, j], model, reliable=r[:, j], clip_pos=p[:, j],
-                            clip_neg=n[:, j]) for j in range(y.shape[1])]
-    return [Observation(y[:, j], model) for j in range(y.shape[1])]
+def frame_observations(samples: np.ndarray, spec: FrameSpec,
+                       model: Optional[MeasurementModel]
+                       ) -> tuple[List[Observation], float]:
+    """The audio front end: one observation per frame, and the input's peak.
+
+    ``samples`` is scaled to unit peak, padded to the frame grid, measured
+    through ``model`` (None: taken as already clipped, with the clip model
+    estimated from the signal) and framed.
+    """
+    x = np.asarray(samples, dtype=float)
+    peak = np.max(np.abs(x))
+    if peak == 0.0:
+        raise ValueError("input signal is identically zero")
+    x_pad = _pad_to_frame_grid(x / peak, spec)
+    obs = estimate_clip_model(x_pad) if model is None else apply_measurement(model, x_pad)
+    y = frame_signal(obs.values, spec)
+    if not isinstance(obs.model, Clip):
+        return [Observation(y[:, j], obs.model) for j in range(y.shape[1])], peak
+    r = frame_signal(obs.reliable, spec)
+    p = frame_signal(obs.clip_pos, spec) & ~r
+    n = ~(r | p)
+    return [Observation(y[:, j], obs.model, reliable=r[:, j], clip_pos=p[:, j],
+                        clip_neg=n[:, j]) for j in range(y.shape[1])], peak
 
 
 def _classical_init(d, observations, k: Optional[int],
@@ -239,77 +270,43 @@ def run_audio(task: str, samples: np.ndarray, frame_spec: FrameSpec,
     """
     if task not in AUDIO_TASKS:
         raise ValueError(f"unknown task {task!r}")
-    x = np.asarray(samples, dtype=float)
-    peak = np.max(np.abs(x))
-    if peak == 0.0:
-        raise ValueError("input signal is identically zero")
-    x = x / peak
-    out_len = x.shape[0]
-    x_pad = _pad_to_frame_grid(x, frame_spec)
-
+    if learn_dict and method in ("fixed", "adaptive"):
+        raise ValueError("dictionary learning is only wired to the iht coder")
     t0 = time.perf_counter()
-    if task == "declip":
-        if detect:
-            obs_full = estimate_clip_model(x_pad)
-        else:
-            if theta is None:
-                raise ValueError("declip needs a clip level theta (or detect=True)")
-            obs_full = apply_measurement(Clip(theta, -theta), x_pad)
+    if task == "declip" and detect:
+        model = None
+    elif task == "declip":
+        if theta is None:
+            raise ValueError("declip needs a clip level theta (or detect=True)")
+        model = Clip(theta, -theta)
     elif task == "dequant":
         if bits is None:
             raise ValueError("dequant needs a bit depth")
-        obs_full = apply_measurement(uniform_quantizer_for_bits(bits), x_pad)
+        model = uniform_quantizer_for_bits(bits)
     else:
-        obs_full = apply_measurement(OneBit(), x_pad)
-
-    observations = _frame_observations(obs_full, frame_spec)
+        model = OneBit()
+    observations, peak = frame_observations(samples, frame_spec, model)
     if dictionary is None:
         dictionary = dct_dictionary(frame_spec.frame_len, 2 * frame_spec.frame_len)
     d = dictionary
 
     label = method + ("+learn" if learn_dict and method != "baseline" else "")
-    stop = None
     if method == "baseline":
-        solve_obs = []
-        for o in observations:
-            bo, stop = _baseline_observation(o, task)
-            solve_obs.append(bo)
+        # IHT from zero on the classical substitutes
+        observations, stop = _baseline_observations(observations, task)
+        codes = _solve(d, observations, "iht", params, stop=stop)
+    elif learn_dict and method == "iht":
+        cfg = SolverConfig(L0(params.k), max_iters=params.inner_iters,
+                           rel_tol=params.rel_tol)
+        dl = DictLearnConfig(inner_code=cfg, outer_iters=params.outer_iters,
+                             inner_dict_iters=params.inner_iters)
+        a0 = _classical_init(d, observations, params.k)
+        d, codes, _ = learn(TrainingSet(observations), d, dl, init_codes=a0)
     else:
-        solve_obs = observations
-
-    codes = None
-    if method in ("iht", "baseline"):
-        cfg = SolverConfig(L0(params.k), max_iters=params.iters, rel_tol=params.rel_tol)
-        step = None
-        if method == "baseline":
-            a0 = np.zeros((d.shape[1], len(solve_obs)))
-        else:
-            step = _resolve_step(d)  # shared by the init and the coder
-            a0 = _classical_init(d, solve_obs, params.k, step)
-        if learn_dict and method != "baseline":
-            dl = DictLearnConfig(inner_code=replace(cfg, max_iters=params.inner_iters),
-                                 outer_iters=params.outer_iters,
-                                 inner_dict_iters=params.inner_iters)
-            d, codes, _ = learn(TrainingSet(solve_obs), d, dl, init_codes=a0)
-        else:
-            projector = batch_projector(solve_obs)
-            thresholds = None if stop is None else np.full(len(solve_obs), stop)
-            codes, _ = sparse_code_batch(d, projector, a0, cfg, step=step,
-                                         stop_consistency=thresholds)
-    elif method in ("fixed", "adaptive"):
-        if learn_dict:
-            raise ValueError("dictionary learning is only wired to the iht coder")
-        a0 = _classical_init(d, solve_obs, None) if task == "onebit" else None
-        codes = _solve(d, solve_obs, method, params, a0)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    z = d @ codes
-    if task == "onebit" or (task == "dequant" and method == "baseline"):
-        est_frames = z
-    else:
-        est_frames = batch_projector(solve_obs).project(z)
-    estimate = overlap_add(est_frames, frame_spec, out_len)
+        codes = _solve(d, observations, method, params,
+                       classical_start=method == "iht" or task == "onebit")
+    out_len = len(samples)
+    estimate = overlap_add(_estimate(d, codes, observations), frame_spec, out_len)
     runtime = time.perf_counter() - t0
 
     snr = None

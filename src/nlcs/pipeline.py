@@ -66,6 +66,8 @@ class FrameSpec:
     def __post_init__(self):
         if self.frame_len < 1:
             raise ValueError("frame_len must be positive")
+        if not 0.0 <= self.overlap < 1.0:
+            raise ValueError(f"overlap must lie in [0, 1), got {self.overlap}")
         hop_f = self.frame_len * (1.0 - self.overlap)
         hop = int(round(hop_f))
         if hop < 1 or abs(hop_f - hop) > 1e-9:

@@ -54,7 +54,6 @@ __all__ = [
     "sparse_code_adaptive",
     "consistency_level",
     "batch_projector",
-    "sparse_code_batch",
 ]
 
 
@@ -193,7 +192,7 @@ def consistency_level(d: np.ndarray, alpha: np.ndarray, obs: Observation) -> flo
 
 
 def _descend(d: np.ndarray, project_batch, a: np.ndarray, cfg: SolverConfig,
-             mu: float, stop_consistency: Optional[np.ndarray] = None):
+             mu: float, stop_consistency: Union[float, np.ndarray, None] = None):
     """Proximal gradient descent on the columns of the (M, T) code matrix a.
 
     Each column stops on its own test: a relative objective change of at
@@ -264,20 +263,23 @@ def _as_batch(d: np.ndarray, obs, alpha0):
 
 
 def sparse_code_fixed(d: np.ndarray, obs: Union[Observation, Sequence[Observation]],
-                      alpha0: np.ndarray, cfg: SolverConfig
+                      alpha0: np.ndarray, cfg: SolverConfig,
+                      stop_consistency: Union[float, np.ndarray, None] = None
                       ) -> tuple[np.ndarray, SolveTrace]:
     """Proximal gradient descent at a fixed regularization level.
 
     Codes one observation from an (M,) start, or a sequence of T
     observations from an (M, T) start, one column each.  A column iterates
-    until its relative objective change drops below cfg.rel_tol or
-    cfg.max_iters is hit.  With accelerate=True the momentum scheme of fast
-    proximal methods is used; it converges faster but gives up
-    per-iteration monotonicity.
+    until its relative objective change drops below cfg.rel_tol, its data
+    term drops to stop_consistency (when given: one level, or one per
+    column) or cfg.max_iters is hit.  With accelerate=True the momentum
+    scheme of fast proximal methods is used; it converges faster but gives
+    up per-iteration monotonicity.
     """
     observations, a, single = _as_batch(d, obs, alpha0)
     a, totals, stopped, level = _descend(d, batch_projector(observations).project,
-                                         a, cfg, _resolve_step(d, cfg.step))
+                                         a, cfg, _resolve_step(d, cfg.step),
+                                         stop_consistency)
     iterations = len(totals) - 1
     if single:
         return a[:, 0], SolveTrace(totals, iterations, bool(stopped[0]), float(level[0]))
@@ -347,7 +349,7 @@ def sparse_code_adaptive(d: np.ndarray, obs: Union[Observation, Sequence[Observa
 
 
 # ---------------------------------------------------------------------------
-# batched solving across many observations (shared dictionary)
+# projection of a batch of observations
 
 
 def batch_projector(observations: Sequence[Observation]):
@@ -370,22 +372,3 @@ def batch_projector(observations: Sequence[Observation]):
                          for t, o in enumerate(obs)], axis=1)
 
     return SimpleNamespace(project=project_columns)
-
-
-def sparse_code_batch(d: np.ndarray, projector, a0: np.ndarray, cfg: SolverConfig,
-                      step: Optional[float] = None,
-                      stop_consistency: Optional[np.ndarray] = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Run the fixed-lam solver on T signals at once (columns of a0).
-
-    Columns stop updating once their own relative objective change falls
-    below cfg.rel_tol (or, when stop_consistency is given, once their data
-    term drops below that per-column threshold).  Returns the codes and the
-    per-iteration total objective.
-    """
-    a = np.array(a0, dtype=float)
-    if a.ndim != 2 or a.shape[0] != d.shape[1]:
-        raise ValueError("a0 must have shape (atom_count, T)")
-    mu = step if step is not None else _resolve_step(d, cfg.step)
-    a, totals, _, _ = _descend(d, projector.project, a, cfg, mu, stop_consistency)
-    return a, totals

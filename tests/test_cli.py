@@ -210,3 +210,10 @@ class TestErrors:
     def test_bad_dict_spec(self, voice_wav):
         rc = main(["declip", voice_wav, "--theta", "0.3", "--dict", "magic"])
         assert rc == 1
+
+    def test_negative_overlap(self, voice_wav, tmp_path, capsys):
+        rc = main(["declip", voice_wav, "--overlap", "-0.5", "--reference", voice_wav,
+                   "--out", str(tmp_path / "o.wav")])
+        assert rc == 1
+        assert "error: overlap must lie in [0, 1), got -0.5" in capsys.readouterr().err
+        assert not (tmp_path / "o.wav").exists()

@@ -13,7 +13,7 @@ from nlcs.dictlearn import (
 )
 from nlcs.linops import dct_dictionary, spectral_norm
 from nlcs.measurements import Clip, Identity, apply_measurement
-from nlcs.solvers import L0, L1, SolverConfig, batch_projector, objective
+from nlcs.solvers import L0, L1, SolverConfig, batch_projector, objective, sparse_code_fixed
 
 
 def _training_set(rng, n=8, m=12, t=20, theta=0.4, k=2, model=None):
@@ -100,6 +100,15 @@ class TestDictUpdate:
         _, objs = dict_update(d0, codes, train, cfg, record_objective=True)
         assert np.all(np.diff(objs) <= 1e-10)
 
+    @pytest.mark.parametrize("shape", [(12,), (11, 6), (12, 5), (12, 6, 1)])
+    def test_malformed_codes_rejected(self, shape):
+        rng = np.random.default_rng(11)
+        train, _, _ = _training_set(rng, t=6)
+        with pytest.raises(ValueError, match=r"codes must have shape \(12, 6\)"):
+            dict_update(dct_dictionary(8, 12), np.zeros(shape), train, self._cfg())
+        with pytest.raises(ValueError, match=r"codes must have shape \(12, 6\)"):
+            learn(train, dct_dictionary(8, 12), self._cfg(), init_codes=np.zeros(shape))
+
     def test_column_norm_invariant(self):
         rng = np.random.default_rng(5)
         train, _, _ = _training_set(rng)
@@ -129,12 +138,10 @@ class TestLearn:
                                     inner_dict_iters=20)
         _, _, trace = learn(train, d0, cfg_learn)
         # sparse coding alone, dictionary held at its start value
-        from nlcs.solvers import sparse_code_batch
-
         projector = batch_projector(train.observations)
         codes = np.zeros((12, len(train)))
         for _ in range(15):
-            codes, _ = sparse_code_batch(d0, projector, codes, inner)
+            codes, _ = sparse_code_fixed(d0, train.observations, codes, inner)
         z = d0 @ codes
         fixed_obj = float(
             0.5 * np.sum((z - projector.project(z)) ** 2)

@@ -4,7 +4,7 @@ import pytest
 from nlcs.cli import main
 from nlcs.experiments import (
     SolveParams,
-    _baseline_observation,
+    _baseline_observations,
     _classical_init,
     run_audio,
     run_synth,
@@ -33,7 +33,7 @@ class TestBaselineObservations:
         from nlcs.measurements import Clip
 
         obs = apply_measurement(Clip(0.3, -0.3), rng.standard_normal(32))
-        base, stop = _baseline_observation(obs, "declip")
+        [base], stop = _baseline_observations([obs], "declip")
         assert isinstance(base.model, Mask)
         assert np.array_equal(base.model.reliable, obs.reliable)
         assert stop is None
@@ -43,7 +43,7 @@ class TestBaselineObservations:
         rng = np.random.default_rng(1)
         model = uniform_quantizer_for_bits(3)
         obs = apply_measurement(model, np.tanh(rng.standard_normal(256)))
-        base, stop = _baseline_observation(obs, "dequant")
+        [base], stop = _baseline_observations([obs], "dequant")
         assert isinstance(base.model, Identity)
         per_sample = 0.25 ** 2 / 12.0
         assert per_sample == pytest.approx(5.208e-3, rel=1e-3)
@@ -52,7 +52,7 @@ class TestBaselineObservations:
     def test_onebit_uses_signs_directly(self):
         rng = np.random.default_rng(2)
         obs = apply_measurement(OneBit(), rng.standard_normal(64))
-        base, stop = _baseline_observation(obs, "onebit")
+        [base], stop = _baseline_observations([obs], "onebit")
         assert isinstance(base.model, Identity)
         assert set(np.unique(base.values)) <= {-1.0, 1.0}
         assert stop is None
@@ -131,6 +131,21 @@ class TestRunAudio:
         peak = np.abs(clipped).max()
         untouched = snr_db(clipped / peak, short_signal / peak)
         assert detected.snr_db > untouched
+
+    @pytest.mark.parametrize("method", ["iht", "fixed", "adaptive", "baseline"])
+    @pytest.mark.parametrize("task", ["declip", "dequant", "onebit"])
+    def test_one_spectral_norm_per_solve(self, short_signal, monkeypatch, task, method):
+        # the step 1/||D||^2 is resolved once and shared by the start and
+        # the coder
+        import nlcs.solvers
+
+        calls = []
+        norm = nlcs.solvers.spectral_norm
+        monkeypatch.setattr(nlcs.solvers, "spectral_norm",
+                            lambda a: calls.append(a.shape) or norm(a))
+        run_audio(task, short_signal[:2048], FrameSpec(64, 0.5), PARAMS_SMALL,
+                  theta=0.3, bits=3, method=method)
+        assert calls == [(64, 128)]
 
     def test_reference_length_checked(self, short_signal):
         fs = FrameSpec(256, 0.75)

@@ -121,6 +121,11 @@ class TestFraming:
         with pytest.raises(ValueError):
             FrameSpec(10, 0.85)
 
+    @pytest.mark.parametrize("overlap", [-0.5, 1.0, 1.5, float("nan")])
+    def test_overlap_outside_unit_interval_rejected(self, overlap):
+        with pytest.raises(ValueError, match=r"overlap must lie in \[0, 1\)"):
+            FrameSpec(256, overlap)
+
 
 class TestMetrics:
     def test_exact_match_is_infinite(self):

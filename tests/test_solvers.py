@@ -18,11 +18,9 @@ from nlcs.solvers import (
     DivergenceError,
     HomotopyConfig,
     SolverConfig,
-    batch_projector,
     consistency_level,
     objective,
     sparse_code_adaptive,
-    sparse_code_batch,
     sparse_code_fixed,
 )
 
@@ -236,11 +234,10 @@ class TestBatchSolver:
         problems = [_clip_problem(rng) for _ in range(8)]
         d = problems[0][0]
         observations = [apply_measurement(Clip(0.5, -0.5), p[2]) for p in problems]
-        projector = batch_projector(observations)
         cfg = SolverConfig(L1(1e-2), max_iters=150)
         a0 = np.zeros((d.shape[1], len(observations)))
-        batch, totals = sparse_code_batch(d, projector, a0, cfg)
-        assert np.all(np.diff(totals) <= 1e-10)
+        batch, trace = sparse_code_fixed(d, observations, a0, cfg)
+        assert np.all(np.diff(trace.objectives) <= 1e-10)
         for t, obs in enumerate(observations):
             single, _ = sparse_code_fixed(d, obs, a0[:, t], cfg)
             f_batch = objective(d, batch[:, t], obs, cfg)
@@ -254,7 +251,7 @@ class TestBatchSolver:
         observations = [apply_measurement(Clip(0.5, -0.5), p[2]) for p in problems]
         cfg = SolverConfig(L1(1e-2), max_iters=150, accelerate=True)
         a0 = np.zeros((d.shape[1], len(observations)))
-        batch, _ = sparse_code_batch(d, batch_projector(observations), a0, cfg)
+        batch, _ = sparse_code_fixed(d, observations, a0, cfg)
         for t, obs in enumerate(observations):
             single, _ = sparse_code_fixed(d, obs, a0[:, t], cfg)
             assert np.abs(batch[:, t] - single).max() <= 1e-12
@@ -281,9 +278,8 @@ class TestBatchSolver:
         rng = np.random.default_rng(18)
         d, _, x, _ = _clip_problem(rng)
         obs = apply_measurement(Identity(), x)
-        projector = batch_projector([obs])
         thresholds = np.array([0.05])
-        a, _ = sparse_code_batch(d, projector, np.zeros((64, 1)),
+        a, _ = sparse_code_fixed(d, [obs], np.zeros((64, 1)),
                                  SolverConfig(L0(8), max_iters=400),
                                  stop_consistency=thresholds)
         lvl = cost(obs, d @ a[:, 0])
