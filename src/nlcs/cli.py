@@ -17,18 +17,12 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .dictlearn import (
-    DictLearnConfig,
-    TrainingSet,
-    export_dictionary_text,
-    learn,
-    load_dictionary,
-    save_dictionary,
-)
+from .dictlearn import export_dictionary_text, load_dictionary, save_dictionary
 from .experiments import (
     AUDIO_TASKS,
     SolveParams,
     frame_observations,
+    learn_dictionary,
     run_audio,
     run_synth,
 )
@@ -43,7 +37,6 @@ from .pipeline import (
     wav_write,
     write_rows_csv,
 )
-from .solvers import L0, SolverConfig
 
 
 @dataclass
@@ -241,6 +234,17 @@ def _solve_params(cfg: RunConfig) -> SolveParams:
                        outer_iters=cfg.iters, inner_iters=cfg.inner_iters)
 
 
+def _one_level(cfg: RunConfig, name: str, default):
+    """The single value of the level list cfg.<name>, or default if unset."""
+    values = getattr(cfg, name)
+    if not values:
+        return default
+    if len(values) > 1:
+        raise ValueError(f"--{name} takes one value for {cfg.command}, got "
+                         f"{','.join(map(str, values))}")
+    return values[0]
+
+
 def _load_dict(cfg: RunConfig, frame_len: int) -> np.ndarray:
     if cfg.dict == "dct":
         return dct_dictionary(frame_len, 2 * frame_len)
@@ -291,10 +295,9 @@ def cmd_audio(cfg: RunConfig, task: str) -> int:
     frame_spec = FrameSpec(cfg.frame, cfg.overlap)
     d = _load_dict(cfg, cfg.frame)
     params = _solve_params(cfg)
-    theta = cfg.theta[0] if cfg.theta else None
-    if task == "declip" and theta is None and not cfg.detect:
-        theta = 0.2
-    bits = cfg.bits[0] if cfg.bits else (3 if task == "dequant" else None)
+    default_theta = 0.2 if task == "declip" and not cfg.detect else None
+    theta = _one_level(cfg, "theta", default_theta)
+    bits = _one_level(cfg, "bits", 3 if task == "dequant" else None)
 
     methods = [m.strip() for m in cfg.method.split(",") if m.strip()]
     rows = []
@@ -334,8 +337,8 @@ def cmd_baseline(cfg: RunConfig) -> int:
     d = _load_dict(cfg, cfg.frame)
     params = _solve_params(cfg)
     tasks = AUDIO_TASKS if cfg.task == "all" else (cfg.task,)
-    theta = cfg.theta[0] if cfg.theta else 0.2
-    bits = cfg.bits[0] if cfg.bits else 3
+    theta = _one_level(cfg, "theta", 0.2)
+    bits = _one_level(cfg, "bits", 3)
     rows = []
     for task in tasks:
         result = run_audio(task, samples, frame_spec, params,
@@ -353,8 +356,8 @@ def cmd_baseline(cfg: RunConfig) -> int:
 
 def cmd_learn_dict(cfg: RunConfig) -> int:
     samples, _ = wav_read(cfg.input)
-    theta = cfg.theta[0] if cfg.theta else 0.2
-    bits = cfg.bits[0] if cfg.bits else 3
+    theta = _one_level(cfg, "theta", 0.2)
+    bits = _one_level(cfg, "bits", 3)
     if cfg.distortion == "clip":
         model = Clip(theta, -theta)
     elif cfg.distortion == "quant":
@@ -364,11 +367,8 @@ def cmd_learn_dict(cfg: RunConfig) -> int:
     else:
         model = Identity()
     observations, _ = frame_observations(samples, FrameSpec(cfg.frame, cfg.overlap), model)
-    d0 = _load_dict(cfg, cfg.frame)
-    inner = SolverConfig(L0(cfg.k), max_iters=cfg.inner_iters)
-    dl = DictLearnConfig(inner_code=inner, outer_iters=cfg.iters,
-                         inner_dict_iters=cfg.inner_iters)
-    d, _, trace = learn(TrainingSet(observations), d0, dl)
+    d, _, trace = learn_dictionary(_load_dict(cfg, cfg.frame), observations,
+                                   _solve_params(cfg))
     out = cfg.out or "dictionary.nlcsdict"
     save_dictionary(out, d)
     _progress(f"wrote {out} (final objective {trace.after_dict[-1]:.6g})"

@@ -102,49 +102,32 @@ def _as_code_matrix(codes, atom_count: int, count: int) -> np.ndarray:
     return a
 
 
-def dict_update(d: np.ndarray, codes, train: TrainingSet, cfg: DictLearnConfig,
-                record_objective: bool = False):
-    """Projected gradient steps on the summed data cost with codes fixed.
-
-    Returns the updated dictionary; with record_objective=True also returns
-    the total data cost before the first and after every inner step.
-    """
+def dict_update(d: np.ndarray, codes, train: TrainingSet, cfg: DictLearnConfig
+                ) -> np.ndarray:
+    """Projected gradient steps on the summed data cost with codes fixed;
+    returns the updated dictionary."""
     d = np.asarray(d, dtype=float)
     a = _as_code_matrix(codes, d.shape[1], len(train))
-    projector = batch_projector(train.observations)
     s = spectral_norm(a)
     if s == 0.0:
         # all-zero codes: the gradient vanishes, nothing to update
-        if record_objective:
-            obj = _total_objective(d, a, projector)
-            return d.copy(), np.full(cfg.inner_dict_iters + 1, obj)
         return d.copy()
     mu2 = 1.0 / (s * s)
-
-    objectives = []
-    if record_objective:
-        objectives.append(_total_objective(d, a, projector))
+    projector = batch_projector(train.observations)
     for _ in range(cfg.inner_dict_iters):
         z = d @ a
         e = projector.project(z) - z
         d = project_dictionary(d + mu2 * (e @ a.T))
         if not np.all(np.isfinite(d)):
             raise RuntimeError("dictionary update diverged")
-        if record_objective:
-            objectives.append(_total_objective(d, a, projector))
-    if record_objective:
-        return d, np.asarray(objectives)
     return d
 
 
-def _total_objective(d: np.ndarray, a: np.ndarray, projector, reg=None) -> float:
-    """Summed data cost of the codes a, plus reg's penalty when reg is given."""
+def _total_objective(d: np.ndarray, a: np.ndarray, projector, reg) -> float:
+    """Summed data cost of the codes a plus reg's penalty."""
     z = d @ a
     r = z - projector.project(z)
-    total = 0.5 * float(np.sum(r * r))
-    if reg is not None:
-        total += float(np.sum(_penalty(reg, a)))
-    return total
+    return 0.5 * float(np.sum(r * r)) + float(np.sum(_penalty(reg, a)))
 
 
 def learn(train: TrainingSet, d0: np.ndarray, cfg: DictLearnConfig,

@@ -58,6 +58,7 @@ __all__ = [
     "run_synth",
     "run_audio",
     "frame_observations",
+    "learn_dictionary",
     "AUDIO_TASKS",
 ]
 
@@ -75,7 +76,6 @@ class SolveParams:
     decay: float = 0.5
     iters: int = 400
     k: int = 32
-    rel_tol: float = 1e-8
     outer_iters: int = 50
     inner_iters: int = 20
 
@@ -130,7 +130,7 @@ def _solve(d, observations, method, params: SolveParams, *,
     else:
         a0 = np.zeros((d.shape[1], len(observations)))
     reg = L1(params.lam) if k is None else L0(k)
-    cfg = SolverConfig(reg, step=step, max_iters=params.iters, rel_tol=params.rel_tol)
+    cfg = SolverConfig(reg, step=step, max_iters=params.iters)
     if method == "adaptive":
         eps = params.epsilon if stop is None else stop
         hcfg = HomotopyConfig(cfg, epsilon=eps, decay=params.decay)
@@ -243,6 +243,20 @@ def _classical_init(d, observations, k: Optional[int],
     return a0
 
 
+def learn_dictionary(d, observations, params: SolveParams):
+    """Learn a dictionary from d with the iht coder; learn's (d, codes, trace).
+
+    The codes start from _classical_init's step, not from zero.  Coding and
+    each dictionary update take params.inner_iters steps, params.outer_iters
+    times.
+    """
+    cfg = SolverConfig(L0(params.k), max_iters=params.inner_iters)
+    dl = DictLearnConfig(inner_code=cfg, outer_iters=params.outer_iters,
+                         inner_dict_iters=params.inner_iters)
+    a0 = _classical_init(d, observations, params.k)
+    return learn(TrainingSet(observations), d, dl, init_codes=a0)
+
+
 @dataclass
 class AudioResult:
     estimate: np.ndarray          # reconstruction in the unit-peak domain
@@ -296,12 +310,7 @@ def run_audio(task: str, samples: np.ndarray, frame_spec: FrameSpec,
         observations, stop = _baseline_observations(observations, task)
         codes = _solve(d, observations, "iht", params, stop=stop)
     elif learn_dict and method == "iht":
-        cfg = SolverConfig(L0(params.k), max_iters=params.inner_iters,
-                           rel_tol=params.rel_tol)
-        dl = DictLearnConfig(inner_code=cfg, outer_iters=params.outer_iters,
-                             inner_dict_iters=params.inner_iters)
-        a0 = _classical_init(d, observations, params.k)
-        d, codes, _ = learn(TrainingSet(observations), d, dl, init_codes=a0)
+        d, codes, _ = learn_dictionary(d, observations, params)
     else:
         codes = _solve(d, observations, method, params,
                        classical_start=method == "iht" or task == "onebit")

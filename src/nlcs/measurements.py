@@ -109,13 +109,10 @@ class UniformQuantizer:
     """Mid-riser uniform quantizer: f(x) = delta * floor(x / delta) + delta / 2."""
 
     delta: float
-    style: str = "mid-riser"
 
     def __post_init__(self):
         if not (np.isfinite(self.delta) and self.delta > 0):
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.style != "mid-riser":
-            raise ValueError(f"unsupported quantizer style {self.style!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,12 +218,6 @@ class IntervalSet:
         v = _as_float_vector(values, "values")
         t = np.ones(v.shape[0], dtype=bool)
         return cls(v, v, t, t)
-
-    @classmethod
-    def unbounded(cls, length: int) -> "IntervalSet":
-        z = np.zeros(length)
-        f = np.zeros(length, dtype=bool)
-        return cls(z, z, f, f)
 
     def __len__(self) -> int:
         return self.lower.shape[0]

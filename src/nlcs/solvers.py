@@ -98,7 +98,6 @@ class SolverConfig:
     step: Optional[float] = None  # None -> 1 / ||D||_2^2
     max_iters: int = 400
     rel_tol: float = 1e-8
-    accelerate: bool = False
 
     def __post_init__(self):
         if self.step is not None and not self.step > 0:
@@ -198,10 +197,9 @@ def _descend(d: np.ndarray, project_batch, a: np.ndarray, cfg: SolverConfig,
     Each column stops on its own test: a relative objective change of at
     most cfg.rel_tol or, when stop_consistency is given, a data term at or
     below its threshold.  Stopped columns keep their codes while the others
-    iterate.  With cfg.accelerate the momentum scheme of fast proximal
-    methods is used.  Returns the codes, the total objective before the
-    first and after every iteration, the per-column stopped flags and the
-    final data terms.
+    iterate.  Returns the codes, the total objective before the first and
+    after every iteration, the per-column stopped flags and the final data
+    terms.
     """
     reg = cfg.regularizer
     z = d @ a
@@ -213,12 +211,10 @@ def _descend(d: np.ndarray, project_batch, a: np.ndarray, cfg: SolverConfig,
     if stop_consistency is not None:
         active &= data > stop_consistency
 
-    w, zw, pw = a, z, p  # gradient evaluation point (= a when plain)
-    t = 1.0
     for k in range(1, cfg.max_iters + 1):
         if not active.any():
             break
-        a_new = _prox(reg, w + mu * (d.T @ (pw - zw)), mu)
+        a_new = _prox(reg, a + mu * (d.T @ (p - z)), mu)
         if not active.all():
             a_new = np.where(active, a_new, a)
         z_new = d @ a_new
@@ -228,16 +224,7 @@ def _descend(d: np.ndarray, project_batch, a: np.ndarray, cfg: SolverConfig,
         if not np.all(np.isfinite(f_new[active])):
             raise DivergenceError(f"objective diverged at iteration {k}")
         totals.append(float(f_new.sum()))
-        if cfg.accelerate:
-            t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            c = (t - 1.0) / t_new
-            w = a_new + c * (a_new - a)
-            zw = z_new + c * (z_new - z)
-            pw = project_batch(zw)
-            t = t_new
-        else:
-            w, zw, pw = a_new, z_new, p_new
-        a, z = a_new, z_new
+        a, z, p = a_new, z_new, p_new
         active &= np.abs(f - f_new) > cfg.rel_tol * np.maximum(f, 1e-300)
         if stop_consistency is not None:
             active &= data > stop_consistency
@@ -272,9 +259,7 @@ def sparse_code_fixed(d: np.ndarray, obs: Union[Observation, Sequence[Observatio
     observations from an (M, T) start, one column each.  A column iterates
     until its relative objective change drops below cfg.rel_tol, its data
     term drops to stop_consistency (when given: one level, or one per
-    column) or cfg.max_iters is hit.  With accelerate=True the momentum
-    scheme of fast proximal methods is used; it converges faster but gives
-    up per-iteration monotonicity.
+    column) or cfg.max_iters is hit.
     """
     observations, a, single = _as_batch(d, obs, alpha0)
     a, totals, stopped, level = _descend(d, batch_projector(observations).project,
@@ -358,6 +343,9 @@ def batch_projector(observations: Sequence[Observation]):
     if not obs:
         raise ValueError("need at least one observation")
     first = obs[0]
+    if len({isinstance(o.model, GeneralLinear) for o in obs}) > 1:
+        raise ValueError("a batch cannot mix GeneralLinear observations with "
+                         "separable (interval) ones")
     if not isinstance(first.model, GeneralLinear):
         stacked = IntervalSet(*(np.stack([getattr(o.intervals(), f.name) for o in obs],
                                          axis=1) for f in fields(IntervalSet)))

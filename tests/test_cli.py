@@ -3,6 +3,7 @@ import pytest
 
 from nlcs.cli import main
 from nlcs.dictlearn import load_dictionary
+from nlcs.linops import dct_dictionary
 from nlcs.pipeline import speech_like_signal, wav_read, wav_write
 
 
@@ -193,6 +194,16 @@ class TestLearnDict:
                    "--iters", "10", "--out", str(out)])
         assert rc == 0
 
+    def test_onebit_learning_moves_off_the_dct(self, voice_wav, tmp_path):
+        # zero codes are a fixed point of the 1-bit cost, so learning must
+        # start from the classical codes to change the dictionary at all
+        dict_path = tmp_path / "ob.nlcsdict"
+        rc = main(["learn-dict", voice_wav, "--distortion", "onebit", "--iters", "2",
+                   "--inner-iters", "5", "-K", "16", "--out", str(dict_path)])
+        assert rc == 0
+        d = load_dictionary(dict_path)
+        assert np.abs(d - dct_dictionary(256, 512)).max() > 1e-3
+
 
 class TestErrors:
     def test_missing_input_file(self, tmp_path):
@@ -217,3 +228,15 @@ class TestErrors:
         assert rc == 1
         assert "error: overlap must lie in [0, 1), got -0.5" in capsys.readouterr().err
         assert not (tmp_path / "o.wav").exists()
+
+    @pytest.mark.parametrize("command", [["declip", "--theta", "0.2,0.4"],
+                                         ["dequant", "--bits", "3,4"]])
+    def test_several_levels_rejected(self, voice_wav, tmp_path, capsys, command):
+        out = tmp_path / "o.wav"
+        rc = main([command[0], voice_wav] + command[1:]
+                  + ["--reference", voice_wav, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {command[1]} takes one value for {command[0]}, "
+                       f"got {command[2]}"]
+        assert not out.exists()

@@ -12,7 +12,7 @@ from nlcs.dictlearn import (
     save_dictionary,
 )
 from nlcs.linops import dct_dictionary, spectral_norm
-from nlcs.measurements import Clip, Identity, apply_measurement
+from nlcs.measurements import Clip, Identity, apply_measurement, cost
 from nlcs.solvers import L0, L1, SolverConfig, batch_projector, objective, sparse_code_fixed
 
 
@@ -30,6 +30,12 @@ def _training_set(rng, n=8, m=12, t=20, theta=0.4, k=2, model=None):
         mdl = Clip(theta, -theta) if model is None else model
         observations.append(apply_measurement(mdl, x))
     return TrainingSet(observations), np.stack(signals, axis=1), d_true
+
+
+def _data_cost(d, codes, train):
+    """Summed data cost of the training set under codes (column t codes
+    observation t)."""
+    return sum(cost(o, d @ codes[:, t]) for t, o in enumerate(train.observations))
 
 
 class TestProjectDictionary:
@@ -97,7 +103,14 @@ class TestDictUpdate:
         cfg = DictLearnConfig(inner_code=SolverConfig(L1(1e-2), max_iters=20),
                               inner_dict_iters=20)
         codes = 0.1 * rng.standard_normal((12, len(train)))
-        _, objs = dict_update(d0, codes, train, cfg, record_objective=True)
+        # the step 1 / ||A||^2 depends on the codes only, so twenty one-step
+        # calls walk through the same dictionaries as one twenty-step call
+        one_step = DictLearnConfig(inner_code=cfg.inner_code, inner_dict_iters=1)
+        d, objs = d0, [_data_cost(d0, codes, train)]
+        for _ in range(cfg.inner_dict_iters):
+            d = dict_update(d, codes, train, one_step)
+            objs.append(_data_cost(d, codes, train))
+        assert np.array_equal(d, dict_update(d0, codes, train, cfg))
         assert np.all(np.diff(objs) <= 1e-10)
 
     @pytest.mark.parametrize("shape", [(12,), (11, 6), (12, 5), (12, 6, 1)])

@@ -106,18 +106,6 @@ class TestSparseCodeFixed:
                                      SolverConfig(L0(5), max_iters=60))
         assert np.count_nonzero(alpha) <= 5
 
-    def test_accelerated_variant_converges(self):
-        rng = np.random.default_rng(7)
-        d, _, x, obs = _clip_problem(rng)
-        plain, _ = sparse_code_fixed(d, obs, np.zeros(64),
-                                     SolverConfig(L1(1e-2), max_iters=400))
-        fast, _ = sparse_code_fixed(d, obs, np.zeros(64),
-                                    SolverConfig(L1(1e-2), max_iters=400,
-                                                 accelerate=True))
-        f_plain = objective(d, plain, obs, SolverConfig(L1(1e-2)))
-        f_fast = objective(d, fast, obs, SolverConfig(L1(1e-2)))
-        assert f_fast <= f_plain + 1e-6
-
     def test_monotone_per_family(self):
         rng = np.random.default_rng(8)
         for family in FAMILIES:
@@ -244,17 +232,28 @@ class TestBatchSolver:
             f_single = objective(d, single, obs, cfg)
             assert abs(f_batch - f_single) < 1e-6
 
-    def test_accelerate_matches_per_column(self):
+    def test_per_column_linear_operators_match_single_signals(self):
         rng = np.random.default_rng(19)
-        problems = [_clip_problem(rng) for _ in range(8)]
-        d = problems[0][0]
-        observations = [apply_measurement(Clip(0.5, -0.5), p[2]) for p in problems]
-        cfg = SolverConfig(L1(1e-2), max_iters=150, accelerate=True)
-        a0 = np.zeros((d.shape[1], len(observations)))
+        d = rng.standard_normal((16, 32))
+        d /= np.linalg.norm(d, axis=0)
+        observations = [random_sparse_problem("linear", rng, n=16, m=32)[3]
+                        for _ in range(6)]
+        assert len({id(o.model) for o in observations}) == 6
+        cfg = SolverConfig(L1(1e-2), max_iters=150)
+        a0 = np.zeros((32, len(observations)))
         batch, _ = sparse_code_fixed(d, observations, a0, cfg)
         for t, obs in enumerate(observations):
             single, _ = sparse_code_fixed(d, obs, a0[:, t], cfg)
             assert np.abs(batch[:, t] - single).max() <= 1e-12
+
+    @pytest.mark.parametrize("linear_first", [True, False])
+    def test_mixed_linear_and_separable_batch_rejected(self, linear_first):
+        rng = np.random.default_rng(20)
+        d, _, x, linear_obs = random_sparse_problem("linear", rng, n=16, m=32)
+        clip_obs = apply_measurement(Clip(0.5, -0.5), x)
+        batch = [linear_obs, clip_obs] if linear_first else [clip_obs, linear_obs]
+        with pytest.raises(ValueError, match="cannot mix GeneralLinear"):
+            sparse_code_fixed(d, batch, np.zeros((32, 2)), SolverConfig(L1(1e-2)))
 
     @pytest.mark.parametrize("family", ["clip", "quant"])
     def test_batched_homotopy_matches_single_signals(self, family):
