@@ -136,9 +136,7 @@ def _merge_config(command: str, args: argparse.Namespace) -> RunConfig:
         parser = _FIELD_PARSERS.get(key, str)
         setattr(cfg, key, parser(raw))
     for f in fields(RunConfig):
-        if not hasattr(args, f.name):
-            continue
-        val = getattr(args, f.name)
+        val = getattr(args, f.name, None)
         if val is not None:
             setattr(cfg, f.name, val)
     return cfg
@@ -295,6 +293,8 @@ def cmd_audio(cfg: RunConfig, task: str) -> int:
     frame_spec = FrameSpec(cfg.frame, cfg.overlap)
     d = _load_dict(cfg, cfg.frame)
     params = _solve_params(cfg)
+    if cfg.detect and cfg.theta:
+        raise ValueError("--detect reads the clip level from the input; drop --theta")
     default_theta = 0.2 if task == "declip" and not cfg.detect else None
     theta = _one_level(cfg, "theta", default_theta)
     bits = _one_level(cfg, "bits", 3 if task == "dequant" else None)

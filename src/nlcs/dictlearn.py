@@ -7,8 +7,9 @@ is
 
     D <- proj_norm( D + mu2 * sum_t (proj_t(D a_t) - D a_t) a_t^T ),
 
-with mu2 = 1 / ||A||_2^2; both step sizes are re-estimated at every outer
-iteration from the current D and A.
+with mu2 = 1 / ||A||_2^2.  Both step sizes are re-estimated every outer
+iteration, each norm from the top Gram eigenvalue, and the dictionary step
+touches only the atoms some code uses (||A_used||_2 = ||A||_2).
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from __future__ import annotations
 import logging
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
 
 from .linops import spectral_norm
 from .measurements import Observation
-from .solvers import SolverConfig, _penalty, batch_projector, sparse_code_fixed
+from .solvers import SolverConfig, _descend, _penalty, _resolve_step, batch_projector
 
 __all__ = [
     "DictLearnConfig",
@@ -75,6 +77,10 @@ class TrainingSet:
     def __len__(self) -> int:
         return len(self.observations)
 
+    @cached_property
+    def projector(self):  # one stacked projector for every half step
+        return batch_projector(self.observations)
+
 
 @dataclass
 class LearnTrace:
@@ -99,27 +105,35 @@ def _as_code_matrix(codes, atom_count: int, count: int) -> np.ndarray:
     if a.shape != (atom_count, count):
         raise ValueError(f"codes must have shape {(atom_count, count)} (atoms, "
                          f"training signals), got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("codes must be finite")
     return a
 
 
 def dict_update(d: np.ndarray, codes, train: TrainingSet, cfg: DictLearnConfig
                 ) -> np.ndarray:
     """Projected gradient steps on the summed data cost with codes fixed;
-    returns the updated dictionary."""
+    returns the updated dictionary, its unused atoms bit for bit as given."""
     d = np.asarray(d, dtype=float)
     a = _as_code_matrix(codes, d.shape[1], len(train))
-    s = spectral_norm(a)
-    if s == 0.0:
+    if not np.all(np.isfinite(d)):
+        raise ValueError("dictionary must be finite")
+    used = np.flatnonzero(np.any(a != 0.0, axis=1))
+    if used.size == 0:
         # all-zero codes: the gradient vanishes, nothing to update
         return d.copy()
+    du, au = d[:, used], a[used]
+    s = spectral_norm(au)
     mu2 = 1.0 / (s * s)
-    projector = batch_projector(train.observations)
+    projector = train.projector
     for _ in range(cfg.inner_dict_iters):
-        z = d @ a
+        z = du @ au
         e = projector.project(z) - z
-        d = project_dictionary(d + mu2 * (e @ a.T))
-        if not np.all(np.isfinite(d)):
+        du = project_dictionary(du + mu2 * (e @ au.T))
+        if not np.all(np.isfinite(du)):
             raise RuntimeError("dictionary update diverged")
+    d = d.copy()
+    d[:, used] = du
     return d
 
 
@@ -148,15 +162,14 @@ def learn(train: TrainingSet, d0: np.ndarray, cfg: DictLearnConfig,
     else:
         a = _as_code_matrix(init_codes, d.shape[1], len(train)).copy()
 
-    projector = batch_projector(train.observations)
-    reg = cfg.inner_code.regularizer
+    projector, code = train.projector, cfg.inner_code
     trace = LearnTrace()
     for _ in range(cfg.outer_iters):
-        a, _ = sparse_code_fixed(d, train.observations, a, cfg.inner_code)
-        trace.after_coding.append(_total_objective(d, a, projector, reg))
+        a = _descend(d, projector.project, a, code, _resolve_step(d, code.step))[0]
+        trace.after_coding.append(_total_objective(d, a, projector, code.regularizer))
 
         d = dict_update(d, a, train, cfg)
-        trace.after_dict.append(_total_objective(d, a, projector, reg))
+        trace.after_dict.append(_total_objective(d, a, projector, code.regularizer))
         trace.outer_iters += 1
 
     unused = np.flatnonzero(~np.any(a != 0.0, axis=1))

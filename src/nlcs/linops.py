@@ -28,43 +28,17 @@ def dct_dictionary(signal_dim: int, atom_count: int) -> np.ndarray:
     return d
 
 
-def spectral_norm(matrix: np.ndarray, tol: float = 1e-8, max_iters: int = 1000) -> float:
-    """Largest singular value of a dense matrix via power iteration on X^T X.
-
-    The start vector is the normalized all-ones vector so repeated calls are
-    bit-reproducible; if that start happens to lie in the kernel of X, a
-    fixed-seed random restart is used instead.  Iteration stops when the
-    relative change of the Rayleigh quotient drops below ``tol``.
-    """
+def spectral_norm(matrix: np.ndarray) -> float:
+    """Largest singular value of a dense matrix: the square root of the top
+    eigenvalue of the smaller Gram matrix, X X^T or X^T X (exact to rounding)."""
     x = np.asarray(matrix, dtype=float)
     if x.ndim != 2 or x.size == 0:
         raise ValueError("spectral_norm expects a nonempty 2-d matrix")
     if not np.all(np.isfinite(x)):
         raise ValueError("spectral_norm expects finite entries")
-
-    v = np.ones(x.shape[1]) / np.sqrt(x.shape[1])
-    lam = 0.0
-    for attempt in range(2):
-        lam = 0.0
-        for _ in range(max_iters):
-            w = x @ v
-            lam_new = float(w @ w)  # Rayleigh quotient of X^T X at unit v
-            if lam_new == 0.0:
-                break
-            u = x.T @ w
-            v = u / np.linalg.norm(u)
-            if abs(lam_new - lam) <= tol * max(lam_new, 1e-300):
-                return float(np.sqrt(lam_new))
-            lam = lam_new
-        if lam > 0.0:
-            break
-        if attempt == 0 and np.any(x != 0.0):
-            # all-ones start was annihilated by X; deterministic restart
-            v = np.random.default_rng(0).standard_normal(x.shape[1])
-            v /= np.linalg.norm(v)
-        else:
-            break
-    return float(np.sqrt(lam))
+    gram = x @ x.T if x.shape[0] <= x.shape[1] else x.T @ x
+    # the Gram matrix is PSD; keep a rounding-negative top eigenvalue at 0
+    return float(np.sqrt(max(0.0, np.linalg.eigvalsh(gram)[-1])))
 
 
 def prox_l1(v: np.ndarray, threshold: float) -> np.ndarray:

@@ -229,15 +229,27 @@ class IntervalSet:
         return bool(np.all(ok_lo & ok_up))
 
 
+def _clamp_bounds(lower, upper, lower_bounded, upper_bounded):
+    """The box's bounds with -inf / +inf on its unbounded sides: the only
+    arrays that hold infinities, kept by batch projectors for _clamp."""
+    return np.where(lower_bounded, lower, -np.inf), np.where(upper_bounded, upper, np.inf)
+
+
+def _clamp(lo, up, x) -> np.ndarray:
+    """max(x, lo), then min with up.  Not np.clip: with scalar bounds it
+    keeps -0.0 against a +0.0 lower bound, where np.maximum gives +0.0."""
+    out = np.maximum(x, lo)
+    return np.minimum(out, up, out=out)
+
+
 def project(intervals: IntervalSet, x) -> np.ndarray:
     """Orthogonal projection onto the interval box: element-wise clamp.
 
     x has the shape of the intervals, (N,) or (N, T).
     """
-    x = np.asarray(x, dtype=float)
-    out = np.where(intervals.lower_bounded, np.maximum(x, intervals.lower), x)
-    out = np.where(intervals.upper_bounded, np.minimum(out, intervals.upper), out)
-    return out
+    iv = intervals
+    bounds = _clamp_bounds(iv.lower, iv.upper, iv.lower_bounded, iv.upper_bounded)
+    return _clamp(*bounds, np.asarray(x, dtype=float))
 
 
 # ---------------------------------------------------------------------------

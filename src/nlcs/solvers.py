@@ -36,8 +36,9 @@ from .measurements import (
     GeneralLinear,
     IntervalSet,
     Observation,
+    _clamp,
+    _clamp_bounds,
     cost,
-    project,
     project_linear,
 )
 
@@ -347,9 +348,9 @@ def batch_projector(observations: Sequence[Observation]):
         raise ValueError("a batch cannot mix GeneralLinear observations with "
                          "separable (interval) ones")
     if not isinstance(first.model, GeneralLinear):
-        stacked = IntervalSet(*(np.stack([getattr(o.intervals(), f.name) for o in obs],
-                                         axis=1) for f in fields(IntervalSet)))
-        return SimpleNamespace(project=partial(project, stacked))
+        bounds = _clamp_bounds(*(np.stack([getattr(o.intervals(), f.name) for o in obs],
+                                          axis=1) for f in fields(IntervalSet)))
+        return SimpleNamespace(project=partial(_clamp, *bounds))
     if all(o.model is first.model for o in obs):
         y = np.stack([o.values for o in obs], axis=1)
         return SimpleNamespace(project=partial(project_linear, first.model, y,

@@ -229,6 +229,17 @@ class TestErrors:
         assert "error: overlap must lie in [0, 1), got -0.5" in capsys.readouterr().err
         assert not (tmp_path / "o.wav").exists()
 
+    def test_detect_with_theta_rejected(self, voice_wav, tmp_path, capsys):
+        # detect mode reads the clip level from the input; a --theta would
+        # only label the row with a level that was never used
+        out = tmp_path / "o.wav"
+        rc = main(["declip", voice_wav, "--detect", "--theta", "0.7",
+                   "--reference", voice_wav, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: --detect reads the clip level from the input; drop --theta"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["declip", "--theta", "0.2,0.4"],
                                          ["dequant", "--bits", "3,4"]])
     def test_several_levels_rejected(self, voice_wav, tmp_path, capsys, command):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import nlcs.dictlearn
+import nlcs.solvers
 from nlcs.dictlearn import (
     DictLearnConfig,
     TrainingSet,
@@ -122,6 +124,41 @@ class TestDictUpdate:
         with pytest.raises(ValueError, match=r"codes must have shape \(12, 6\)"):
             learn(train, dct_dictionary(8, 12), self._cfg(), init_codes=np.zeros(shape))
 
+    def test_unused_atoms_returned_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        train, _, _ = _training_set(rng)
+        d = dct_dictionary(8, 12)
+        d[0, [3, 7]] = -0.0  # a sign of zero that an added zero gradient would flip
+        codes = rng.standard_normal((12, len(train)))
+        codes[[3, 7, 8]] = 0.0
+        out = dict_update(d, codes, train, self._cfg())
+        unused = [3, 7, 8]
+        assert np.array_equal(out[:, unused].view(np.int64), d[:, unused].view(np.int64))
+        assert not np.array_equal(out[:, 0], d[:, 0])
+
+    def test_nonfinite_unused_atom_rejected(self):
+        rng = np.random.default_rng(18)
+        train, _, _ = _training_set(rng)
+        d = dct_dictionary(8, 12)
+        d[2, 5] = np.nan
+        codes = rng.standard_normal((12, len(train)))
+        codes[5] = 0.0
+        with pytest.raises(ValueError, match="dictionary must be finite"):
+            dict_update(d, codes, train, self._cfg())
+        codes[:] = 0.0
+        with pytest.raises(ValueError, match="dictionary must be finite"):
+            dict_update(d, codes, train, self._cfg())
+
+    def test_nonfinite_codes_rejected(self):
+        rng = np.random.default_rng(19)
+        train, _, _ = _training_set(rng, t=6)
+        codes = np.zeros((12, 6))
+        codes[4, 2] = np.inf
+        with pytest.raises(ValueError, match="codes must be finite"):
+            dict_update(dct_dictionary(8, 12), codes, train, self._cfg())
+        with pytest.raises(ValueError, match="codes must be finite"):
+            learn(train, dct_dictionary(8, 12), self._cfg(), init_codes=codes)
+
     def test_column_norm_invariant(self):
         rng = np.random.default_rng(5)
         train, _, _ = _training_set(rng)
@@ -184,6 +221,43 @@ class TestLearn:
         direction = (projector.project(z) - z) @ codes.T
         want = (signals - d @ codes) @ codes.T
         assert np.abs(direction - want).max() < 1e-12
+
+    def test_never_used_atoms_keep_their_bits(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        train, _, _ = _training_set(rng)
+        d0 = dct_dictionary(8, 64)
+        d0[1, 40:] = -0.0
+        seen = []
+
+        def recording(d, codes, *args):
+            seen.append(np.any(codes != 0.0, axis=1))
+            return dict_update(d, codes, *args)
+
+        monkeypatch.setattr(nlcs.dictlearn, "dict_update", recording)
+        cfg = DictLearnConfig(inner_code=SolverConfig(L0(2), max_iters=5),
+                              outer_iters=3, inner_dict_iters=4)
+        d, _, _ = learn(train, d0, cfg)
+        never = ~np.any(seen, axis=0)
+        assert len(seen) == 3 and 0 < never.sum() < 64
+        assert np.array_equal(d[:, never].view(np.int64), d0[:, never].view(np.int64))
+        assert not np.array_equal(d[:, ~never], d0[:, ~never])
+
+    def test_one_stacked_projector_per_learn(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        train, _, _ = _training_set(rng)
+        builds = []
+
+        def counting(observations):
+            builds.append(len(observations))
+            return batch_projector(observations)
+
+        monkeypatch.setattr(nlcs.solvers, "batch_projector", counting)
+        monkeypatch.setattr(nlcs.dictlearn, "batch_projector", counting)
+        cfg = DictLearnConfig(inner_code=SolverConfig(L1(1e-2), max_iters=5),
+                              outer_iters=4, inner_dict_iters=2)
+        _, _, trace = learn(train, dct_dictionary(8, 12), cfg)
+        assert trace.outer_iters == 4
+        assert builds == [len(train)]
 
     def test_initial_dictionary_validated(self):
         rng = np.random.default_rng(10)

@@ -64,6 +64,24 @@ class TestSpectralNorm:
         with pytest.raises(ValueError):
             spectral_norm(np.array([[np.nan, 1.0]]))
 
+    @pytest.mark.parametrize("shape", [(64, 8), (8, 64), (1, 30), (30, 1), (17, 17)])
+    def test_svd_oracle_tall_wide_square(self, shape):
+        x = np.random.default_rng(sum(shape)).standard_normal(shape)
+        oracle = np.linalg.svd(x, compute_uv=False)[0]
+        assert abs(spectral_norm(x) - oracle) <= 1e-12 * oracle
+
+    @pytest.mark.parametrize("shape", [(40, 12), (12, 40)])
+    def test_svd_oracle_rank_one(self, shape):
+        rng = np.random.default_rng(3)
+        x = np.outer(rng.standard_normal(shape[0]), rng.standard_normal(shape[1]))
+        oracle = np.linalg.svd(x, compute_uv=False)[0]
+        assert abs(spectral_norm(x) - oracle) <= 1e-12 * oracle
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (7, 3)])
+    def test_zero_matrices(self, shape):
+        s = spectral_norm(np.zeros(shape))
+        assert s == 0.0 and not np.signbit(s)
+
 
 class TestProxL1:
     def test_basic(self):

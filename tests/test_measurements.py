@@ -26,6 +26,7 @@ from nlcs.measurements import (
 )
 from nlcs.measurements import _quantizer_bin_index
 from nlcs.pipeline import uniform_quantizer_for_bits, wav_read, wav_write
+from nlcs.solvers import batch_projector
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +201,75 @@ class TestProject:
         assert np.array_equal(project(iv, x), np.array([[0.0, -3.0], [1.5, 0.5]]))
         with pytest.raises(ValueError, match="1-d or 2-d"):
             IntervalSet(lo[None], lo[None], bounded[None], bounded[None])
+
+
+def project_two_where(iv, x):
+    """The clamp as it was first written: one np.where pass per side."""
+    x = np.asarray(x, dtype=float)
+    out = np.where(iv.lower_bounded, np.maximum(x, iv.lower), x)
+    return np.where(iv.upper_bounded, np.minimum(out, iv.upper), out)
+
+
+def assert_bits_equal(got, want):
+    # equal bit patterns: tells -0.0 from +0.0 and compares NaN payloads
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def stack_intervals(observations):
+    return IntervalSet(*(np.stack([getattr(o.intervals(), name) for o in observations],
+                                  axis=1)
+                         for name in ("lower", "upper", "lower_bounded", "upper_bounded")))
+
+
+# x against every kind of side: both zeros, NaN, infinities and ordinary values
+EDGE_X = np.array([-0.0, 0.0, np.nan, -np.inf, np.inf, 0.3, -0.3, 2.0, -2.0, 1e-300])
+
+
+class TestProjectBitIdentity:
+    @pytest.mark.parametrize("lb,ub", [(False, False), (True, False), (False, True),
+                                       (True, True)])
+    @pytest.mark.parametrize("bound", [0.0, -0.0, 1.0])
+    def test_one_signal_sides_and_signed_zero(self, lb, ub, bound):
+        n = EDGE_X.shape[0]
+        iv = IntervalSet(np.full(n, bound), np.full(n, bound), np.full(n, lb),
+                         np.full(n, ub))
+        got = project(iv, EDGE_X)
+        assert_bits_equal(got, project_two_where(iv, EDGE_X))
+        if not (lb or ub):
+            assert_bits_equal(got, EDGE_X)
+
+    def test_batch_projector_on_every_separable_family(self):
+        rng = np.random.default_rng(21)
+        n = EDGE_X.shape[0]
+        for family in SEPARABLE_FAMILIES:
+            observations = [random_observation(family, rng, n=n)[0] for _ in range(5)]
+            stacked = stack_intervals(observations)
+            x = np.stack([EDGE_X, -EDGE_X, rng.standard_normal(n), EDGE_X[::-1],
+                          np.zeros(n)], axis=1)
+            want = project_two_where(stacked, x)
+            assert_bits_equal(batch_projector(observations).project(x), want)
+            assert_bits_equal(project(stacked, x), want)
+            for t, o in enumerate(observations):
+                assert_bits_equal(project(o.intervals(), x[:, t]), want[:, t])
+
+    def test_signed_zero_bounds_from_observations(self):
+        # identity and mask observations of +-0.0 give +-0.0 bounds on both
+        # sides, 1-bit observations a +0.0 bound on one side
+        y = np.array([-0.0, 0.0, -0.0, 0.0])
+        observations = [Observation(y, Identity()),
+                        Observation(y, Mask(np.array([True, True, False, True]))),
+                        Observation(np.array([1.0, -1.0, 1.0, -1.0]), OneBit())]
+        x = np.array([[-0.0, 0.0, np.nan], [0.0, -0.0, -0.0], [-0.0, -0.0, 0.0],
+                      [0.0, 0.0, -0.0]])
+        for o in observations:
+            for col in x.T:
+                assert_bits_equal(project(o.intervals(), col),
+                                  project_two_where(o.intervals(), col))
+            batch = [o] * 3
+            assert_bits_equal(batch_projector(batch).project(x),
+                              project_two_where(stack_intervals(batch), x))
 
 
 class TestProjectLinear:
