@@ -22,9 +22,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from .linops import spectral_norm
 from .measurements import Observation
-from .solvers import SolverConfig, _descend, _penalty, _resolve_step, batch_projector
+from .solvers import (L0, SolverConfig, _descend, _penalty, _resolve_step, _synth_used,
+                      batch_projector)
 
 __all__ = [
     "DictLearnConfig",
@@ -123,15 +123,15 @@ def dict_update(d: np.ndarray, codes, train: TrainingSet, cfg: DictLearnConfig
         # all-zero codes: the gradient vanishes, nothing to update
         return d.copy()
     du, au = d[:, used], a[used]
-    s = spectral_norm(au)
-    mu2 = 1.0 / (s * s)
+    mu2 = _resolve_step(au)
     projector = train.projector
     for _ in range(cfg.inner_dict_iters):
         z = du @ au
         e = projector.project(z) - z
-        du = project_dictionary(du + mu2 * (e @ au.T))
+        du = du + mu2 * (e @ au.T)
         if not np.all(np.isfinite(du)):
             raise RuntimeError("dictionary update diverged")
+        du = project_dictionary(du)
     d = d.copy()
     d[:, used] = du
     return d
@@ -139,7 +139,7 @@ def dict_update(d: np.ndarray, codes, train: TrainingSet, cfg: DictLearnConfig
 
 def _total_objective(d: np.ndarray, a: np.ndarray, projector, reg) -> float:
     """Summed data cost of the codes a plus reg's penalty."""
-    z = d @ a
+    z = _synth_used(d, a) if isinstance(reg, L0) else d @ a
     r = z - projector.project(z)
     return 0.5 * float(np.sum(r * r)) + float(np.sum(_penalty(reg, a)))
 

@@ -48,6 +48,7 @@ from .solvers import (
     HomotopyConfig,
     SolverConfig,
     _resolve_step,
+    _synth_used,
     batch_projector,
     sparse_code_adaptive,
     sparse_code_fixed,
@@ -140,10 +141,10 @@ def _solve(d, observations, method, params: SolveParams, *,
     return codes
 
 
-def _estimate(d, codes, observations) -> np.ndarray:
+def _estimate(d, codes, observations, top_k: bool) -> np.ndarray:
     """(N, T) final signal estimates: D a re-projected onto the feasibility
     sets, or D a itself for noisy (Identity) and 1-bit observations."""
-    z = d @ codes
+    z = _synth_used(d, codes) if top_k else d @ codes
     if isinstance(observations[0].model, (Identity, OneBit)):
         return z
     return batch_projector(observations).project(z)
@@ -156,7 +157,7 @@ def _synth_estimates(d, observations, method, task, params: SolveParams) -> np.n
         codes = _solve(d, observations, "adaptive", params, stop=stop)
     else:
         codes = _solve(d, observations, method, params, classical_start=method == "iht")
-    return _estimate(d, codes, observations)
+    return _estimate(d, codes, observations, method == "iht")
 
 
 def run_synth(spec: SyntheticSpec, distortion: str, levels: Sequence,
@@ -315,7 +316,8 @@ def run_audio(task: str, samples: np.ndarray, frame_spec: FrameSpec,
         codes = _solve(d, observations, method, params,
                        classical_start=method == "iht" or task == "onebit")
     out_len = len(samples)
-    estimate = overlap_add(_estimate(d, codes, observations), frame_spec, out_len)
+    estimate = overlap_add(_estimate(d, codes, observations, method in ("iht", "baseline")),
+                           frame_spec, out_len)
     runtime = time.perf_counter() - t0
 
     snr = None

@@ -30,15 +30,21 @@ def dct_dictionary(signal_dim: int, atom_count: int) -> np.ndarray:
 
 def spectral_norm(matrix: np.ndarray) -> float:
     """Largest singular value of a dense matrix: the square root of the top
-    eigenvalue of the smaller Gram matrix, X X^T or X^T X (exact to rounding)."""
+    eigenvalue of the smaller Gram matrix, X X^T or X^T X (exact to rounding;
+    X is rescaled by a power of two when that eigenvalue leaves the normal range)."""
     x = np.asarray(matrix, dtype=float)
     if x.ndim != 2 or x.size == 0:
         raise ValueError("spectral_norm expects a nonempty 2-d matrix")
     if not np.all(np.isfinite(x)):
         raise ValueError("spectral_norm expects finite entries")
-    gram = x @ x.T if x.shape[0] <= x.shape[1] else x.T @ x
+    with np.errstate(over="ignore"):
+        gram = x @ x.T if x.shape[0] <= x.shape[1] else x.T @ x
+        top = np.linalg.eigvalsh(gram)[-1] if np.isfinite(gram).all() else np.inf
+        if not np.finfo(float).tiny <= top < np.inf and x.any():
+            e = np.frexp(np.max(np.abs(x)))[1]
+            return float(np.ldexp(spectral_norm(np.ldexp(x, -e)), e))
     # the Gram matrix is PSD; keep a rounding-negative top eigenvalue at 0
-    return float(np.sqrt(max(0.0, np.linalg.eigvalsh(gram)[-1])))
+    return float(np.sqrt(max(0.0, top)))
 
 
 def prox_l1(v: np.ndarray, threshold: float) -> np.ndarray:

@@ -19,7 +19,8 @@ consistency epsilon.
 
 Signals do not interact once D is fixed, so every coder runs one kernel on
 (M, T) code matrices, one column per signal, each column stopping on its
-own test.
+own test.  Top-K codes synthesize D a from the atoms in use; the gradient
+stays dense, as the next support needs every atom's correlation.
 """
 
 from __future__ import annotations
@@ -160,11 +161,20 @@ class SolveTrace:
 
 
 def _resolve_step(d: np.ndarray, step: Optional[float] = None) -> float:
-    """The given step, or 1 / ||D||_2^2 when it is None."""
+    """The given step, or 1 / ||D||_2^2 when it is None (1 for D = 0)."""
     if step is not None:
         return step
     s = spectral_norm(d)
-    return 1.0 / (s * s) if s > 0 else 1.0
+    mu = 1.0 / (s * s) if s * s > 0.0 else (np.inf if s > 0.0 else 1.0)
+    if not 0.0 < mu < np.inf:
+        raise ValueError(f"step 1/||X||^2 is not a finite positive number for ||X|| = {s:g}")
+    return mu
+
+
+def _synth_used(d: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """D a from the rows of a holding a nonzero, or dense when they are half the atoms."""
+    rows = np.flatnonzero(a.any(axis=1))
+    return d @ a if 2 * rows.size >= a.shape[0] else d[:, rows] @ a[rows]
 
 
 def _penalty(reg: Regularizer, a: np.ndarray):
@@ -203,7 +213,8 @@ def _descend(d: np.ndarray, project_batch, a: np.ndarray, cfg: SolverConfig,
     terms.
     """
     reg = cfg.regularizer
-    z = d @ a
+    synth = _synth_used if isinstance(reg, L0) else np.matmul
+    z = synth(d, a)
     p = project_batch(z)
     data = 0.5 * np.sum((z - p) ** 2, axis=0)
     f = data + _penalty(reg, a)
@@ -218,7 +229,7 @@ def _descend(d: np.ndarray, project_batch, a: np.ndarray, cfg: SolverConfig,
         a_new = _prox(reg, a + mu * (d.T @ (p - z)), mu)
         if not active.all():
             a_new = np.where(active, a_new, a)
-        z_new = d @ a_new
+        z_new = synth(d, a_new)
         p_new = project_batch(z_new)
         data = 0.5 * np.sum((z_new - p_new) ** 2, axis=0)
         f_new = data + _penalty(reg, a_new)

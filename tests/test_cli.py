@@ -1,3 +1,6 @@
+import runpy
+import sys
+
 import numpy as np
 import pytest
 
@@ -251,3 +254,14 @@ class TestErrors:
         assert err == [f"error: {command[1]} takes one value for {command[0]}, "
                        f"got {command[2]}"]
         assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, monkeypatch):
+    out = tmp_path / "rows.csv"
+    monkeypatch.setattr(sys, "argv", ["nlcs", "synth", "--distortion", "clip",
+                                      "--theta", "0.4", "--method", "iht",
+                                      "--count", "2", "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("nlcs", run_name="__main__")
+    assert exc.value.code == 0
+    assert out.read_text().strip().splitlines()[-1].startswith("clip:0.4,iht,")

@@ -159,6 +159,22 @@ class TestDictUpdate:
         with pytest.raises(ValueError, match="codes must be finite"):
             learn(train, dct_dictionary(8, 12), self._cfg(), init_codes=codes)
 
+    def test_tiny_codes_rejected(self):
+        # ||A||^2 underflows, so the step 1/||A||^2 is not a number
+        rng = np.random.default_rng(12)
+        train, _, _ = _training_set(rng, t=6)
+        codes = 1e-170 * rng.standard_normal((12, 6))
+        with pytest.raises(ValueError, match="not a finite positive number"):
+            dict_update(dct_dictionary(8, 12), codes, train, self._cfg())
+
+    def test_divergence_reported(self):
+        train = TrainingSet([apply_measurement(Identity(), np.full(8, 1.5e308))
+                             for _ in range(3)])
+        codes = np.zeros((16, 3))
+        codes[0], codes[1] = 1.0, 0.5
+        with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="diverged"):
+            dict_update(dct_dictionary(8, 16), codes, train, self._cfg())
+
     def test_column_norm_invariant(self):
         rng = np.random.default_rng(5)
         train, _, _ = _training_set(rng)
@@ -198,6 +214,27 @@ class TestLearn:
             + 1e-2 * np.abs(codes).sum()
         )
         assert trace.after_dict[-1] <= fixed_obj + 1e-12
+
+    def test_top_k_learning_matches_dense_synthesis(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        train, _, _ = _training_set(rng, m=48, t=10, k=2)
+        cfg = DictLearnConfig(inner_code=SolverConfig(L0(2), max_iters=10),
+                              outer_iters=4, inner_dict_iters=5)
+        d0 = dct_dictionary(8, 48)
+        got = learn(train, d0, cfg)
+
+        def dense(d, a):
+            return d @ a
+
+        monkeypatch.setattr(nlcs.solvers, "_synth_used", dense)
+        monkeypatch.setattr(nlcs.dictlearn, "_synth_used", dense)
+        want = learn(train, d0, cfg)
+        assert 2 * np.count_nonzero(got[1].any(axis=1)) < 48  # the gathered path ran
+        for g, w in zip(got[:2], want[:2]):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
+        for g, w in ((got[2].after_coding, want[2].after_coding),
+                     (got[2].after_dict, want[2].after_dict)):
+            np.testing.assert_allclose(g, w, rtol=1e-12)
 
     def test_block_descent_on_clipped_data(self):
         rng = np.random.default_rng(8)

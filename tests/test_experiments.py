@@ -6,11 +6,12 @@ from nlcs.experiments import (
     SolveParams,
     _baseline_observations,
     _classical_init,
+    _estimate,
     run_audio,
     run_synth,
 )
 from nlcs.linops import dct_dictionary
-from nlcs.measurements import Identity, Mask, OneBit, apply_measurement
+from nlcs.measurements import Clip, Identity, Mask, OneBit, apply_measurement
 from nlcs.pipeline import (
     FrameSpec,
     SyntheticSpec,
@@ -68,6 +69,19 @@ class TestClassicalInit:
         a0 = _classical_init(d, [obs], 16)
         assert np.count_nonzero(a0) == 16
         assert np.abs(a0).max() > 0
+
+
+class TestEstimate:
+    @pytest.mark.parametrize("model", [Clip(0.3, -0.3), OneBit()])
+    def test_top_k_estimate_matches_dense_synthesis(self, short_signal, model):
+        d = dct_dictionary(64, 128)
+        frames = short_signal[:64 * 12].reshape(12, 64).T
+        observations = [apply_measurement(model, x) for x in frames.T]
+        codes = _classical_init(d, observations, 8)
+        assert 2 * np.count_nonzero(codes.any(axis=1)) < 128  # gathered, not dense
+        np.testing.assert_allclose(_estimate(d, codes, observations, True),
+                                   _estimate(d, codes, observations, False),
+                                   rtol=1e-12, atol=1e-15)
 
 
 class TestRunSynth:

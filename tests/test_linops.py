@@ -82,6 +82,26 @@ class TestSpectralNorm:
         s = spectral_norm(np.zeros(shape))
         assert s == 0.0 and not np.signbit(s)
 
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e170, 1e200, 1e-150, 1e-160,
+                                       1e-170, 1e-200])
+    @pytest.mark.parametrize("shape", [(2, 3), (12, 5), (6, 6)])
+    def test_svd_oracle_at_extreme_scale(self, scale, shape):
+        # the Gram matrix over- or underflows beyond about 1e+-154
+        x = scale * np.random.default_rng(sum(shape)).standard_normal(shape)
+        oracle = np.linalg.svd(x, compute_uv=False)[0]
+        assert abs(spectral_norm(x) - oracle) <= 1e-12 * oracle
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_normal_range_keeps_the_plain_gram_eigenvalue(self, scale):
+        x = scale * np.random.default_rng(5).standard_normal((9, 4))
+        want = float(np.sqrt(np.linalg.eigvalsh(x.T @ x)[-1]))
+        assert spectral_norm(x) == want
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_constant_matrix_at_extreme_scale(self, scale):
+        assert spectral_norm(np.full((2, 3), scale)) == pytest.approx(
+            np.sqrt(6.0) * scale, rel=1e-12, abs=0.0)
+
 
 class TestProxL1:
     def test_basic(self):

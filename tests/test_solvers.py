@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import FAMILIES, random_observation, random_sparse_problem
-from nlcs.linops import dct_dictionary, spectral_norm
+import nlcs.solvers
+from conftest import FAMILIES, random_model, random_observation, random_sparse_problem
+from nlcs.linops import dct_dictionary, prox_l0_topk, spectral_norm
 from nlcs.measurements import (
     Clip,
     Identity,
@@ -18,6 +19,10 @@ from nlcs.solvers import (
     DivergenceError,
     HomotopyConfig,
     SolverConfig,
+    _descend,
+    _resolve_step,
+    _synth_used,
+    batch_projector,
     consistency_level,
     objective,
     sparse_code_adaptive,
@@ -187,6 +192,17 @@ class TestSparseCodeAdaptive:
             HomotopyConfig(SolverConfig(L0(4)))
 
 
+class TestResolveStep:
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_step_out_of_range_rejected(self, scale):
+        # ||D||^2 overflows or underflows: no finite positive step exists
+        with pytest.raises(ValueError, match="not a finite positive number"):
+            _resolve_step(scale * dct_dictionary(8, 16))
+
+    def test_zero_dictionary_keeps_unit_step(self):
+        assert _resolve_step(np.zeros((8, 16))) == 1.0
+
+
 class TestNoiseBound:
     @pytest.mark.parametrize("family", ["clip", "quant", "gquant", "onebit", "mask"])
     def test_noisy_truth_stays_near_feasible(self, family):
@@ -283,3 +299,101 @@ class TestBatchSolver:
                                  stop_consistency=thresholds)
         lvl = cost(obs, d @ a[:, 0])
         assert lvl <= 0.05
+
+
+def _dense(d, a):
+    return d @ a
+
+
+class TestTopKSynthesis:
+    """Top-K codes synthesize D a from the atoms in use; a dense product is
+    the reference."""
+
+    def _problem(self, rng, n, m, t, k, family="clip"):
+        """A unit-norm (n, m) dictionary and t observations of k-sparse signals."""
+        d = rng.standard_normal((n, m))
+        d /= np.linalg.norm(d, axis=0)
+        model = random_model(family, rng, n)
+        observations = []
+        for _ in range(t):
+            x = d[:, rng.choice(m, size=k, replace=False)] @ rng.standard_normal(k)
+            observations.append(apply_measurement(model, x / np.abs(x).max()))
+        return d, observations
+
+    def _descend_both(self, monkeypatch, d, observations, a0, cfg):
+        project = batch_projector(observations).project
+        mu = _resolve_step(d)
+        calls = []
+        with monkeypatch.context() as mp:
+            mp.setattr(nlcs.solvers, "_synth_used",
+                       lambda d, a: calls.append(1) or _synth_used(d, a))
+            got = _descend(d, project, a0.copy(), cfg, mu)
+        assert len(calls) == len(got[1])  # the start and every iteration
+        with monkeypatch.context() as mp:
+            mp.setattr(nlcs.solvers, "_synth_used", _dense)
+            want = _descend(d, project, a0.copy(), cfg, mu)
+        return got, want
+
+    @pytest.mark.parametrize("family", ["clip", "quant", "identity", "onebit"])
+    @pytest.mark.parametrize("m, t, k", [(256, 3, 4), (64, 40, 16)])
+    def test_descend_matches_dense_reference(self, monkeypatch, family, m, t, k):
+        # (256, 3, 4): a union of at most 12 of 256 atoms, gathered;
+        # (64, 40, 16): the union covers more than half the atoms, dense
+        rng = np.random.default_rng(m + t + k)
+        d, observations = self._problem(rng, 32, m, t, k, family)
+        y = np.stack([o.values for o in observations], axis=1)
+        a0 = prox_l0_topk(_resolve_step(d) * (d.T @ y), k)
+        cfg = SolverConfig(L0(k), max_iters=30)
+        (a, totals, stopped, data), (a_ref, totals_ref, stopped_ref, data_ref) = \
+            self._descend_both(monkeypatch, d, observations, a0, cfg)
+        used = np.count_nonzero(a.any(axis=1))
+        assert (2 * used < m) == (m == 256)
+        np.testing.assert_allclose(a, a_ref, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(data, data_ref, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(totals, totals_ref, rtol=1e-12, atol=1e-300)
+        assert np.array_equal(stopped, stopped_ref)
+        if m == 64:  # the dense fallback computes the reference's products
+            assert np.array_equal(a, a_ref) and np.array_equal(data, data_ref)
+
+    def test_dense_fallback_is_bitwise(self):
+        rng = np.random.default_rng(3)
+        d = rng.standard_normal((16, 32))
+        a = rng.standard_normal((32, 5)) * (rng.random((32, 5)) < 0.5)
+        a[:16, 0] = 1.0  # at least half the atoms in use
+        assert np.array_equal(_synth_used(d, a), d @ a)
+
+    def test_all_zero_codes(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        d, observations = self._problem(rng, 16, 64, 4, 3)
+        z = _synth_used(d, np.zeros((64, 4)))
+        assert z.shape == (16, 4) and np.all(z == 0.0) and not np.signbit(z).any()
+        cfg = SolverConfig(L0(3), max_iters=10)
+        (a, _, _, data), (a_ref, _, _, data_ref) = self._descend_both(
+            monkeypatch, d, observations, np.zeros((64, 4)), cfg)
+        np.testing.assert_allclose(a, a_ref, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(data, data_ref, rtol=1e-12, atol=1e-300)
+
+    def test_negative_zero_entries(self):
+        rng = np.random.default_rng(5)
+        d = rng.standard_normal((16, 64))
+        a = np.zeros((64, 4))
+        a[3, 0], a[9, 1] = 0.7, -1.2
+        a[10:13, :] = -0.0  # kept by top-K when a column has fewer than K numbers
+        a[20, 3] = -0.0
+        z = _synth_used(d, a)
+        want = d @ a
+        np.testing.assert_allclose(z, want, rtol=1e-12, atol=0.0)
+        assert np.array_equal(np.signbit(z[:, 2:]), np.signbit(want[:, 2:]))
+
+    def test_l1_codes_keep_the_dense_product(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        d, observations = self._problem(rng, 16, 64, 4, 3)
+
+        def refuse(d, a):
+            raise AssertionError("l1 codes must use the dense product")
+
+        monkeypatch.setattr(nlcs.solvers, "_synth_used", refuse)
+        a0 = np.zeros((64, 4))
+        sparse_code_fixed(d, observations, a0, SolverConfig(L1(1e-2), max_iters=40))
+        sparse_code_adaptive(d, observations, a0,
+                             HomotopyConfig(SolverConfig(L1(1e-2), max_iters=40)))
