@@ -96,8 +96,17 @@ def project_dictionary(d: np.ndarray) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if not np.all(np.isfinite(d)):
         raise ValueError("dictionary must be finite")
-    norms = np.linalg.norm(d, axis=0)
-    return d / np.maximum(norms, 1.0)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(d, axis=0)
+    out = d / np.maximum(norms, 1.0)
+    over = np.isinf(norms)
+    if over.any():
+        # a finite column whose norm overflows: scale its peak into [0.5, 1)
+        # by a power of two, as spectral_norm does, and normalise that
+        big = d[:, over]
+        big = np.ldexp(big, -np.frexp(np.max(np.abs(big), axis=0))[1])
+        out[:, over] = big / np.linalg.norm(big, axis=0)
+    return out
 
 
 def _as_code_matrix(codes, atom_count: int, count: int) -> np.ndarray:

@@ -91,18 +91,18 @@ def _quant_delta(model) -> float:
 
 
 def _baseline_observations(observations: Sequence[Observation], task: str
-                           ) -> tuple[List[Observation], Optional[float]]:
+                           ) -> tuple[List[Observation], Optional[np.ndarray]]:
     """Classical linear treatment of a batch of nonlinear observations.
 
-    Returns the substituted observations and, for dequantization, the data
-    term level 0.5 * N * delta^2 / 12 at which the solver should stop
-    (quantization error treated as noise of variance delta^2 / 12); one
-    model and one length per batch give one level.
+    Returns the substituted observations and, for dequantization, one data
+    term level 0.5 * N * delta_t^2 / 12 per observation at which the solver
+    should stop (quantization error treated as noise of variance
+    delta_t^2 / 12); a batch may mix quantizers of different steps.
     """
     if task == "declip":
         return [Observation(o.values, Mask(o.reliable)) for o in observations], None
     if task == "dequant":
-        delta = _quant_delta(observations[0].model)
+        delta = np.array([_quant_delta(o.model) for o in observations])
         n = observations[0].values.shape[0]
         stop = 0.5 * n * delta * delta / 12.0
     elif task == "onebit":
@@ -113,14 +113,15 @@ def _baseline_observations(observations: Sequence[Observation], task: str
 
 
 def _solve(d, observations, method, params: SolveParams, *,
-           classical_start: bool = False, stop: Optional[float] = None) -> np.ndarray:
+           classical_start: bool = False, stop: Optional[np.ndarray] = None) -> np.ndarray:
     """Code a batch of observations with one coder call; (M, T) codes.
 
     method picks the coder: fixed-lam l1, the l1 homotopy (adaptive) or
     hard thresholding (iht).  The start is zero or, with classical_start,
     one classical gradient step (top-K thresholded for iht), taken with
-    the coder's own step 1 / ||D||_2^2.  stop is a data term level: the
-    homotopy's target (params.epsilon when None), else an early stop.
+    the coder's own step 1 / ||D||_2^2.  stop holds one data term level per
+    observation: the homotopy's target (params.epsilon when None), else an
+    early stop.
     """
     if method not in ("fixed", "adaptive", "iht"):
         raise ValueError(f"unknown method {method!r}")
@@ -164,38 +165,49 @@ def run_synth(spec: SyntheticSpec, distortion: str, levels: Sequence,
               methods: Sequence[str], params: SolveParams, seed: int):
     """Distortion sweep over a synthetic ensemble.
 
-    Returns (rows, per_signal) where rows hold the mean SNR per
-    (level, method) and per_signal maps (level, method) to the individual
-    SNR values.
+    Each method makes one batched solve over the observations of every
+    level; a row's runtime is the wall time of its method's solve, shared
+    by that method's rows.  Returns (rows, per_signal) where rows hold the
+    mean SNR per (level, method) and per_signal maps (level, method) to the
+    individual SNR values.
     """
     if distortion not in ("clip", "quant"):
         raise ValueError(f"unknown distortion {distortion!r}")
     d, _, signals = gen_synthetic(replace(spec, seed=seed))
-    rows: List[EvalRow] = []
-    per_signal = {}
+    if not levels:
+        return [], {}
+    tags: List[str] = []
+    observations: List[Observation] = []
     for level in levels:
         if distortion == "clip":
             theta = float(level)
             if not theta > 0:
                 raise ValueError(f"clip level must be positive, got {theta}")
             model = Clip(theta, -theta)
-            tag = f"clip:{theta:g}"
-            task = "declip"
+            tags.append(f"clip:{theta:g}")
         else:
             bits = int(level)
             model = uniform_quantizer_for_bits(bits)
-            tag = f"quant:{bits}"
-            task = "dequant"
-        observations = [apply_measurement(model, x) for x in signals.T]
+            tags.append(f"quant:{bits}")
+        observations += [apply_measurement(model, x) for x in signals.T]
+    task = "declip" if distortion == "clip" else "dequant"
+    truth = np.tile(signals, len(levels))
+    snrs, runtimes = {}, {}
+    for method in methods:
+        t0 = time.perf_counter()
+        estimates = _synth_estimates(d, observations, method, task, params)
+        snrs[method] = np.array([snr_db(xhat, x) for xhat, x in zip(estimates.T, truth.T)])
+        runtimes[method] = time.perf_counter() - t0
+    rows: List[EvalRow] = []
+    per_signal = {}
+    count = signals.shape[1]
+    for i, (level, tag) in enumerate(zip(levels, tags)):
         for method in methods:
-            t0 = time.perf_counter()
-            estimates = _synth_estimates(d, observations, method, task, params)
-            snrs = np.array([snr_db(xhat, x) for xhat, x in zip(estimates.T, signals.T)])
-            runtime = time.perf_counter() - t0
-            rows.append(EvalRow(tag, method, float(np.mean(snrs)), runtime, seed))
-            per_signal[(level, method)] = snrs
+            level_snrs = snrs[method][i * count:(i + 1) * count]
+            rows.append(EvalRow(tag, method, float(np.mean(level_snrs)), runtimes[method], seed))
+            per_signal[(level, method)] = level_snrs
             logger.info("%s %s: mean SNR %.2f dB (%.2f s)", tag, method,
-                        float(np.mean(snrs)), runtime)
+                        float(np.mean(level_snrs)), runtimes[method])
     return rows, per_signal
 
 

@@ -52,8 +52,9 @@ def prox_l1(v: np.ndarray, threshold: float) -> np.ndarray:
 
     For an (M, T) array the threshold may also hold one value per column.
     """
-    if np.any(np.asarray(threshold) < 0):
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    t = np.asarray(threshold)
+    if not ((t >= 0) & (t < np.inf)).all():
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
 

@@ -63,6 +63,16 @@ class DivergenceError(RuntimeError):
     """The objective became non-finite (user-supplied step too large)."""
 
 
+def _level_or_columns(value, name: str, zero_ok: bool):
+    """value unchanged if scalar, as a float array if 1-d (one per column);
+    every entry must be finite and positive, or >= 0 when zero_ok."""
+    v = np.asarray(value, dtype=float)
+    if v.ndim > 1 or not np.all(np.isfinite(v) & ((v >= 0) if zero_ok else (v > 0))):
+        raise ValueError(f"{name} must be a scalar or 1-d, finite and "
+                         f"{'>= 0' if zero_ok else 'positive'}, got {value}")
+    return v if v.ndim == 1 else value
+
+
 @dataclass(frozen=True)
 class L1:
     """l1 penalty with weight lam (lam = 0 disables shrinkage).
@@ -73,11 +83,7 @@ class L1:
     lam: Union[float, np.ndarray]
 
     def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        if lam.ndim > 1 or not np.all(np.isfinite(lam) & (lam >= 0)):
-            raise ValueError(f"lam must be a scalar or 1-d, finite and >= 0, got {self.lam}")
-        if lam.ndim == 1:
-            object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", _level_or_columns(self.lam, "lam", zero_ok=True))
 
 
 @dataclass(frozen=True)
@@ -112,10 +118,16 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class HomotopyConfig:
+    """Settings of the adaptive (homotopy) coder.
+
+    epsilon is the consistency target: one level for every signal, or for
+    a batch of T signals a 1-d array with one level per column.
+    """
+
     inner: SolverConfig
     lam0: Optional[float] = None  # None -> ||D^T proj(0)||_inf
     decay: float = 0.5
-    epsilon: float = 1e-3
+    epsilon: Union[float, np.ndarray] = 1e-3
     max_stages: int = 60
 
     def __post_init__(self):
@@ -123,8 +135,8 @@ class HomotopyConfig:
             raise ValueError("the adaptive scheme varies lam and needs an L1 regularizer")
         if not 0 < self.decay < 1:
             raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        object.__setattr__(self, "epsilon",
+                           _level_or_columns(self.epsilon, "epsilon", zero_ok=False))
         if self.max_stages < 1:
             raise ValueError("max_stages must be >= 1")
 
@@ -184,12 +196,6 @@ def _penalty(reg: Regularizer, a: np.ndarray):
     return np.zeros(a.shape[1:])
 
 
-def _prox(reg: Regularizer, a: np.ndarray, step: float) -> np.ndarray:
-    if isinstance(reg, L1):
-        return prox_l1(a, reg.lam * step)
-    return prox_l0_topk(a, reg.k)
-
-
 def objective(d: np.ndarray, alpha: np.ndarray, obs: Observation,
               cfg: SolverConfig) -> float:
     """Penalized objective cost(D a, y) + lam * ||a||_1 (data term only for L0)."""
@@ -211,35 +217,60 @@ def _descend(d: np.ndarray, project_batch, a: np.ndarray, cfg: SolverConfig,
     iterate.  Returns the codes, the total objective before the first and
     after every iteration, the per-column stopped flags and the final data
     terms.
+
+    On small batches the loop is bound by Python overhead, so the
+    regulariser is resolved once, reductions call the ufuncs directly and
+    the masking of stopped columns is skipped while every column iterates.
     """
     reg = cfg.regularizer
-    synth = _synth_used if isinstance(reg, L0) else np.matmul
+    add, every_of = np.add.reduce, np.logical_and.reduce
+    if isinstance(reg, L1):
+        lam, threshold, synth = reg.lam, reg.lam * mu, np.matmul
+
+        def prox(g):
+            return prox_l1(g, threshold)
+
+        def penalized(data, a):
+            return data + lam * add(np.abs(a), axis=0)
+    else:
+        synth = _synth_used
+
+        def prox(g):
+            return prox_l0_topk(g, reg.k)
+
+        def penalized(data, a):  # the constraint carries no penalty
+            return data
+
     z = synth(d, a)
     p = project_batch(z)
-    data = 0.5 * np.sum((z - p) ** 2, axis=0)
-    f = data + _penalty(reg, a)
-    totals = [float(f.sum())]
+    data = 0.5 * add((z - p) ** 2, axis=0)
+    f = penalized(data, a)
+    totals = [float(add(f))]
     active = np.ones(a.shape[1], dtype=bool)
     if stop_consistency is not None:
         active &= data > stop_consistency
+    every = every_of(active)
 
     for k in range(1, cfg.max_iters + 1):
-        if not active.any():
+        if not every and not active.any():
             break
-        a_new = _prox(reg, a + mu * (d.T @ (p - z)), mu)
-        if not active.all():
+        a_new = prox(a + mu * (d.T @ (p - z)))
+        if not every:
             a_new = np.where(active, a_new, a)
         z_new = synth(d, a_new)
         p_new = project_batch(z_new)
-        data = 0.5 * np.sum((z_new - p_new) ** 2, axis=0)
-        f_new = data + _penalty(reg, a_new)
-        if not np.all(np.isfinite(f_new[active])):
+        # ** 2 squares the temporary in place; np.square would allocate a
+        # second (N, T) array per iteration and add page faults on audio
+        data = 0.5 * add((z_new - p_new) ** 2, axis=0)
+        f_new = penalized(data, a_new)
+        if not every_of(np.isfinite(f_new if every else f_new[active])):
             raise DivergenceError(f"objective diverged at iteration {k}")
-        totals.append(float(f_new.sum()))
+        totals.append(float(add(f_new)))
         a, z, p = a_new, z_new, p_new
         active &= np.abs(f - f_new) > cfg.rel_tol * np.maximum(f, 1e-300)
         if stop_consistency is not None:
             active &= data > stop_consistency
+        every = every_of(active)
         f = f_new
     return a, np.array(totals), ~active, data
 
@@ -300,7 +331,8 @@ def sparse_code_adaptive(d: np.ndarray, obs: Union[Observation, Sequence[Observa
     """Warm-started homotopy over decreasing lam until consistency <= epsilon.
 
     Takes one observation with (M,) codes or a sequence of T observations
-    with (M, T) codes; every signal keeps its own lam.  Each stage makes one
+    with (M, T) codes; every signal keeps its own lam, and its own epsilon
+    when hcfg.epsilon holds one per column.  Each stage makes one
     :func:`sparse_code_fixed` call, to convergence at the current lam, on
     the signals whose consistency is still above epsilon, starting from
     the previous stage's codes.  If max_stages is exhausted before the
@@ -311,6 +343,9 @@ def sparse_code_adaptive(d: np.ndarray, obs: Union[Observation, Sequence[Observa
     project_batch = batch_projector(observations).project
     inner = replace(hcfg.inner, step=_resolve_step(d, hcfg.inner.step))
     t_count = a.shape[1]
+    if np.ndim(hcfg.epsilon) == 1 and hcfg.epsilon.shape[0] != t_count:
+        raise ValueError(f"epsilon holds {hcfg.epsilon.shape[0]} levels for "
+                         f"{t_count} observations")
     if hcfg.lam0 is not None:
         lam = np.full(t_count, float(hcfg.lam0))
     else:
@@ -359,8 +394,9 @@ def batch_projector(observations: Sequence[Observation]):
         raise ValueError("a batch cannot mix GeneralLinear observations with "
                          "separable (interval) ones")
     if not isinstance(first.model, GeneralLinear):
-        bounds = _clamp_bounds(*(np.stack([getattr(o.intervals(), f.name) for o in obs],
-                                          axis=1) for f in fields(IntervalSet)))
+        intervals = [o.intervals() for o in obs]
+        bounds = _clamp_bounds(*(np.stack([getattr(iv, f.name) for iv in intervals], axis=1)
+                                 for f in fields(IntervalSet)))
         return SimpleNamespace(project=partial(_clamp, *bounds))
     if all(o.model is first.model for o in obs):
         y = np.stack([o.values for o in obs], axis=1)

@@ -61,6 +61,22 @@ class TestProjectDictionary:
         once = project_dictionary(d)
         assert np.array_equal(project_dictionary(once), once)
 
+    def test_overflowing_norm_maps_to_unit_norm(self):
+        # the l2 norm of a finite column can overflow to inf; that column is
+        # rescaled by a power of two first instead of becoming a dead atom
+        d = np.array([[1e200, 1.0, 3.0], [1e200, 0.0, 4.0]])
+        with np.errstate(all="raise"):
+            out = project_dictionary(d)
+        assert out[:, 0] == pytest.approx(np.full(2, np.sqrt(0.5)), rel=1e-15)
+        assert np.linalg.norm(out[:, 0]) == pytest.approx(1.0, rel=1e-15)
+        assert np.array_equal(out[:, 1:], d[:, 1:] / np.array([1.0, 5.0]))
+
+    def test_normal_range_is_bitwise(self):
+        rng = np.random.default_rng(2)
+        d = rng.standard_normal((6, 9)) * np.logspace(-3, 150, 9)
+        norms = np.linalg.norm(d, axis=0)
+        assert np.array_equal(project_dictionary(d), d / np.maximum(norms, 1.0))
+
     def test_columnwise_nonexpansive(self):
         rng = np.random.default_rng(1)
         for _ in range(100):

@@ -50,6 +50,16 @@ class TestBaselineObservations:
         assert per_sample == pytest.approx(5.208e-3, rel=1e-3)
         assert stop == pytest.approx(0.5 * 256 * per_sample)
 
+    def test_dequant_stop_per_observation(self):
+        # a level-batched sweep mixes quantizers: each keeps its own level
+        rng = np.random.default_rng(3)
+        x = np.tanh(rng.standard_normal(64))
+        batch = [apply_measurement(uniform_quantizer_for_bits(b), x) for b in (2, 3, 3)]
+        _, stop = _baseline_observations(batch, "dequant")
+        deltas = np.array([0.5, 0.25, 0.25])
+        assert stop.shape == (3,)
+        assert np.array_equal(stop, 0.5 * 64 * deltas * deltas / 12.0)
+
     def test_onebit_uses_signs_directly(self):
         rng = np.random.default_rng(2)
         obs = apply_measurement(OneBit(), rng.standard_normal(64))
@@ -100,6 +110,26 @@ class TestRunSynth:
         r = rows[0]
         assert r.distortion == "quant:3" and r.method == "fixed" and r.seed == 1
         assert np.isfinite(r.snr_db)
+
+    @pytest.mark.parametrize("distortion, levels", [("clip", [0.2, 0.4]), ("quant", [2, 3])])
+    def test_level_batch_matches_levels_solved_alone(self, distortion, levels):
+        # one batched solve per method over every level gives each signal
+        # the SNR it gets when its level is solved alone; the batch width
+        # changes BLAS blocking, so products may round differently
+        spec = SyntheticSpec(seed=5, count=6)
+        methods = ["adaptive", "fixed", "baseline"]
+        params = SolveParams(iters=200)
+        rows, both = run_synth(spec, distortion, levels, methods, params, seed=5)
+        assert [(r.distortion.split(":")[1], r.method) for r in rows] == \
+            [(f"{lv:g}", m) for lv in levels for m in methods]
+        for level in levels:
+            _, alone = run_synth(spec, distortion, [level], methods, params, seed=5)
+            for m in methods:
+                assert both[(level, m)].shape == (6,)
+                np.testing.assert_allclose(both[(level, m)], alone[(level, m)],
+                                           rtol=0.0, atol=1e-9)
+        runtime = {r.method: r.runtime_s for r in rows[:len(methods)]}
+        assert all(r.runtime_s == runtime[r.method] for r in rows)
 
     def test_unknown_distortion_rejected(self):
         with pytest.raises(ValueError):

@@ -119,6 +119,12 @@ class TestProxL1:
         with pytest.raises(ValueError):
             prox_l1(np.array([1.0]), -0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, np.array([0.1, np.nan]),
+                                     np.array([np.inf, 0.1])])
+    def test_rejects_non_finite_threshold(self, bad):
+        with pytest.raises(ValueError, match="threshold"):
+            prox_l1(np.ones((3, 2)), bad)
+
     def test_nonexpansive(self):
         rng = np.random.default_rng(3)
         for _ in range(200):

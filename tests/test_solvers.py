@@ -7,6 +7,7 @@ from nlcs.linops import dct_dictionary, prox_l0_topk, spectral_norm
 from nlcs.measurements import (
     Clip,
     Identity,
+    Observation,
     OneBit,
     apply_measurement,
     cost,
@@ -104,6 +105,31 @@ class TestSparseCodeFixed:
         with pytest.raises(DivergenceError, match="iteration"):
             sparse_code_fixed(d, obs, np.ones(64), cfg)
 
+    def test_divergence_with_some_columns_stopped(self):
+        # the first column meets its stop level at the start and sits out;
+        # the others diverge, and the masked finiteness check still fires
+        rng = np.random.default_rng(5)
+        d, _, _, obs = _clip_problem(rng)
+        cfg = SolverConfig(L1(1e-2), step=1e12, max_iters=50)
+        stop = np.array([np.inf, 0.0, 0.0])
+        with pytest.raises(DivergenceError, match="iteration"):
+            sparse_code_fixed(d, [obs] * 3, np.ones((64, 3)), cfg, stop_consistency=stop)
+        with pytest.raises(DivergenceError, match="iteration"):
+            sparse_code_fixed(d, [obs] * 3, np.ones((64, 3)), cfg)
+
+    def test_prox_l1_runs_once_per_iteration(self, monkeypatch):
+        # the benchmark's tracer counts prox_l1 calls through this namespace
+        rng = np.random.default_rng(7)
+        d, _, _, obs = _clip_problem(rng)
+        calls = []
+        prox = nlcs.solvers.prox_l1
+        monkeypatch.setattr(nlcs.solvers, "prox_l1",
+                            lambda v, t: calls.append(v.shape) or prox(v, t))
+        _, trace = sparse_code_fixed(d, [obs] * 4, np.zeros((64, 4)),
+                                     SolverConfig(L1(1e-2), max_iters=60))
+        assert len(calls) == trace.iterations > 1
+        assert set(calls) == {(64, 4)}
+
     def test_l0_keeps_k_sparse(self):
         rng = np.random.default_rng(6)
         d, _, x, obs = _clip_problem(rng)
@@ -187,6 +213,44 @@ class TestSparseCodeAdaptive:
         assert not trace.converged
         assert len(trace.stages) == 2
 
+    def test_per_column_epsilon_matches_scalar_calls(self):
+        rng = np.random.default_rng(22)
+        problems = [random_sparse_problem("clip", rng, n=32, m=64, k=4) for _ in range(6)]
+        d = problems[0][0]
+        observations = [apply_measurement(problems[0][3].model, p[2]) for p in problems]
+        eps = np.array([1e-3, 1e-1, 1e-3, 1e-2, 1e-1, 1e-2])
+        inner = SolverConfig(L1(1.0), max_iters=400)
+        a0 = np.zeros((64, 6))
+        batch, trace = sparse_code_adaptive(d, observations, a0,
+                                            HomotopyConfig(inner, epsilon=eps))
+        assert trace.converged and np.all(trace.consistency <= eps)
+        for level in np.unique(eps):
+            cols = np.flatnonzero(eps == level)
+            part, tr = sparse_code_adaptive(d, [observations[t] for t in cols], a0[:, cols],
+                                            HomotopyConfig(inner, epsilon=float(level)))
+            np.testing.assert_allclose(batch[:, cols], part, rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(trace.consistency[cols], tr.consistency,
+                                       rtol=0.0, atol=1e-12)
+        # one level repeated per column is the scalar call, bit for bit
+        same, _ = sparse_code_adaptive(d, observations, a0,
+                                       HomotopyConfig(inner, epsilon=np.full(6, 1e-2)))
+        scalar, _ = sparse_code_adaptive(d, observations, a0,
+                                         HomotopyConfig(inner, epsilon=1e-2))
+        assert np.array_equal(same, scalar)
+
+    @pytest.mark.parametrize("eps", [np.nan, -1e-3, 0.0, np.inf,
+                                     np.array([1e-3, np.nan]), np.ones((2, 2))])
+    def test_bad_epsilon_rejected(self, eps):
+        with pytest.raises(ValueError, match="epsilon"):
+            HomotopyConfig(SolverConfig(L1(1.0)), epsilon=eps)
+
+    def test_epsilon_length_must_match_batch(self):
+        rng = np.random.default_rng(23)
+        d, _, _, obs = _clip_problem(rng)
+        hcfg = HomotopyConfig(SolverConfig(L1(1.0)), epsilon=np.full(3, 1e-3))
+        with pytest.raises(ValueError, match="epsilon"):
+            sparse_code_adaptive(d, [obs] * 2, np.zeros((64, 2)), hcfg)
+
     def test_requires_l1(self):
         with pytest.raises(ValueError):
             HomotopyConfig(SolverConfig(L0(4)))
@@ -247,6 +311,20 @@ class TestBatchSolver:
             f_batch = objective(d, batch[:, t], obs, cfg)
             f_single = objective(d, single, obs, cfg)
             assert abs(f_batch - f_single) < 1e-6
+
+    def test_projector_reads_each_observations_intervals_once(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        observations = [random_observation("quant", rng, 16)[0] for _ in range(5)]
+        z = rng.standard_normal((16, 5))
+        want = np.stack([project(o.intervals(), z[:, t])
+                         for t, o in enumerate(observations)], axis=1)
+        calls = []
+        intervals = Observation.intervals
+        monkeypatch.setattr(Observation, "intervals",
+                            lambda o: calls.append(1) or intervals(o))
+        got = batch_projector(observations).project(z)
+        assert len(calls) == len(observations)
+        assert np.array_equal(got, want)
 
     def test_per_column_linear_operators_match_single_signals(self):
         rng = np.random.default_rng(19)
