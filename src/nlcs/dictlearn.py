@@ -174,7 +174,7 @@ def learn(train: TrainingSet, d0: np.ndarray, cfg: DictLearnConfig,
     projector, code = train.projector, cfg.inner_code
     trace = LearnTrace()
     for _ in range(cfg.outer_iters):
-        a = _descend(d, projector.project, a, code, _resolve_step(d, code.step))[0]
+        a = _descend(d, projector, a, code, _resolve_step(d, code.step))[0]
         trace.after_coding.append(_total_objective(d, a, projector, code.regularizer))
 
         d = dict_update(d, a, train, cfg)

@@ -18,9 +18,10 @@ lam, warm-starting each stage, until the data term falls below a target
 consistency epsilon.
 
 Signals do not interact once D is fixed, so every coder runs one kernel on
-(M, T) code matrices, one column per signal, each column stopping on its
-own test.  Top-K codes synthesize D a from the atoms in use; the gradient
-stays dense, as the next support needs every atom's correlation.
+(M, T) code matrices, one column per signal: each column runs its own
+schedule, homotopy stages included, and leaves the batch when it is done.
+Top-K codes synthesize D a from the atoms in use; the gradient stays
+dense, as the next support needs every atom's correlation.
 """
 
 from __future__ import annotations
@@ -73,8 +74,22 @@ def _level_or_columns(value, name: str, zero_ok: bool):
     return v if v.ndim == 1 else value
 
 
-@dataclass(frozen=True)
-class L1:
+class _ValueEq:
+    """== and hash by field value, an array field by its shape and bytes."""
+
+    def _key(self):
+        return tuple((v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+                     for v in (getattr(self, f.name) for f in fields(self)))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class L1(_ValueEq):
     """l1 penalty with weight lam (lam = 0 disables shrinkage).
 
     For a batch of T signals lam may also hold one weight per column.
@@ -116,8 +131,8 @@ class SolverConfig:
             raise ValueError("rel_tol must be positive")
 
 
-@dataclass(frozen=True)
-class HomotopyConfig:
+@dataclass(frozen=True, eq=False)
+class HomotopyConfig(_ValueEq):
     """Settings of the adaptive (homotopy) coder.
 
     epsilon is the consistency target: one level for every signal, or for
@@ -133,6 +148,8 @@ class HomotopyConfig:
     def __post_init__(self):
         if not isinstance(self.inner.regularizer, L1):
             raise ValueError("the adaptive scheme varies lam and needs an L1 regularizer")
+        if self.lam0 is not None and not 0 <= self.lam0 < np.inf:
+            raise ValueError(f"lam0 must be finite and >= 0, got {self.lam0}")
         if not 0 < self.decay < 1:
             raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
         object.__setattr__(self, "epsilon",
@@ -146,8 +163,9 @@ class StageRecord:
     """One homotopy stage.
 
     In a batched solve lam, consistency and penalty hold one value per
-    column, lam being NaN for the columns that were already consistent and
-    sat the stage out; iterations is the stage's lockstep count.
+    column after the stage, lam being NaN for the columns that were already
+    consistent and sat the stage out; iterations is the largest count among
+    the columns that ran the stage.
     """
 
     lam: Union[float, np.ndarray]
@@ -160,9 +178,10 @@ class StageRecord:
 class SolveTrace:
     """Verbatim record of a solve: objective values as they occurred.
 
-    In a batched solve the objectives are summed over the signals and
-    consistency holds one value per signal; iterations counts lockstep
-    iterations and converged is true when every signal converged.
+    In a batched solve consistency holds one value per signal and the
+    objectives are summed over all signals, a finished signal's value
+    frozen; iterations counts the iterations of the longest-running signal
+    and converged is true when every signal converged.
     """
 
     objectives: np.ndarray
@@ -207,25 +226,36 @@ def consistency_level(d: np.ndarray, alpha: np.ndarray, obs: Observation) -> flo
     return cost(obs, d @ alpha)
 
 
-def _descend(d: np.ndarray, project_batch, a: np.ndarray, cfg: SolverConfig,
-             mu: float, stop_consistency: Union[float, np.ndarray, None] = None):
-    """Proximal gradient descent on the columns of the (M, T) code matrix a.
+def _descend(d: np.ndarray, projector, a: np.ndarray, cfg: SolverConfig,
+             mu: float, stop_consistency: Union[float, np.ndarray, None] = None,
+             homotopy: Optional[tuple] = None):
+    """Proximal gradient descent on the columns of the (M, T) code matrix a,
+    whose storage may hold the result.
 
-    Each column stops on its own test: a relative objective change of at
-    most cfg.rel_tol or, when stop_consistency is given, a data term at or
-    below its threshold.  Stopped columns keep their codes while the others
-    iterate.  Returns the codes, the total objective before the first and
-    after every iteration, the per-column stopped flags and the final data
-    terms.
+    A column's stage ends on its own test (a relative objective change of
+    at most cfg.rel_tol or, at a fixed lam, a data term at or below
+    stop_consistency) or after cfg.max_iters iterations.  With homotopy =
+    (decay, log), a column still above stop_consistency then goes on at
+    lam * decay while log has a row left, and log[:, s, t] gets column t's
+    lam, data term, l1 norm and iterations after its stage s.  Finished
+    columns leave the batch (projector.columns).  Returns the codes, the
+    total objective (finished columns frozen) before the first and after
+    every iteration, per-column flags "last stage ended by its test" and
+    the final data terms.
 
     On small batches the loop is bound by Python overhead, so the
     regulariser is resolved once, reductions call the ufuncs directly and
-    the masking of stopped columns is skipped while every column iterates.
+    the iteration cap is tested only once some column can reach it.
     """
     reg = cfg.regularizer
-    add, every_of = np.add.reduce, np.logical_and.reduce
+    add, every_of, any_of = np.add.reduce, np.logical_and.reduce, np.logical_or.reduce
+    t_count = a.shape[1]
+    lam = np.array(getattr(reg, "lam", 0.0), dtype=float)  # a copy: stages scale it
+    stop = np.broadcast_to(-np.inf if stop_consistency is None else stop_consistency, t_count)
+    decay, log = homotopy or (None, None)
+    stop_each_iteration = stop_consistency is not None and log is None
     if isinstance(reg, L1):
-        lam, threshold, synth = reg.lam, reg.lam * mu, np.matmul
+        synth = np.matmul
 
         def prox(g):
             return prox_l1(g, threshold)
@@ -242,37 +272,58 @@ def _descend(d: np.ndarray, project_batch, a: np.ndarray, cfg: SolverConfig,
             return data
 
     z = synth(d, a)
-    p = project_batch(z)
+    p = projector.project(z)
     data = 0.5 * add((z - p) ** 2, axis=0)
     f = penalized(data, a)
-    totals = [float(add(f))]
-    active = np.ones(a.shape[1], dtype=bool)
-    if stop_consistency is not None:
-        active &= data > stop_consistency
-    every = every_of(active)
-
-    for k in range(1, cfg.max_iters + 1):
-        if not every and not active.any():
-            break
+    out, final, stopped = a, np.empty(t_count), np.empty(t_count, bool)
+    cols, stage, begin = np.arange(t_count), np.zeros(t_count, int), np.zeros(t_count, int)
+    totals, frozen, threshold, cap_at, k = [float(add(f))], 0.0, lam * mu, cfg.max_iters, 0
+    test = ended = data <= stop  # a column already at its level never runs
+    while True:
+        if any_of(ended):
+            if log is not None and k:
+                e = ended.nonzero()[0]
+                s, l1, de = stage[e], add(np.abs(a[:, e]), axis=0), data[e]
+                log[:, s, cols[e]] = lam[e], de, l1, k - begin[e]
+                go = (s + 1 < log.shape[1]) & (de > stop[e])
+                go_on = e[go]
+                lam[go_on] *= decay
+                f[go_on] = de[go] + lam[go_on] * l1[go]
+                stage[go_on] += 1
+                begin[go_on] = k
+                ended[go_on] = False
+            if any_of(ended):
+                if every_of(ended) and cols.size == t_count:  # never compacted: no copy
+                    return a, np.array(totals), test, data
+                done = cols[ended]
+                out[:, done], final[done], stopped[done] = a[:, ended], data[ended], test[ended]
+                if done.size == cols.size:
+                    return out, np.array(totals), stopped, final
+                frozen += float(add(f[ended]))
+                keep = (~ended).nonzero()[0]
+                a, z, p, f, data, stop, cols, stage, begin = (
+                    x[..., keep] for x in (a, z, p, f, data, stop, cols, stage, begin))
+                lam = lam[..., keep] if lam.ndim else lam
+                projector = projector.columns(keep)
+            threshold, cap_at = lam * mu, np.minimum.reduce(begin) + cfg.max_iters
+        k += 1
         a_new = prox(a + mu * (d.T @ (p - z)))
-        if not every:
-            a_new = np.where(active, a_new, a)
         z_new = synth(d, a_new)
-        p_new = project_batch(z_new)
+        p_new = projector.project(z_new)
         # ** 2 squares the temporary in place; np.square would allocate a
         # second (N, T) array per iteration and add page faults on audio
         data = 0.5 * add((z_new - p_new) ** 2, axis=0)
         f_new = penalized(data, a_new)
-        if not every_of(np.isfinite(f_new if every else f_new[active])):
+        total = float(add(f_new))
+        if not total < np.inf:  # every term is >= 0: NaN or inf in one reaches the sum
             raise DivergenceError(f"objective diverged at iteration {k}")
-        totals.append(float(add(f_new)))
+        totals.append(frozen + total)
         a, z, p = a_new, z_new, p_new
-        active &= np.abs(f - f_new) > cfg.rel_tol * np.maximum(f, 1e-300)
-        if stop_consistency is not None:
-            active &= data > stop_consistency
-        every = every_of(active)
+        test = np.abs(f - f_new) <= cfg.rel_tol * np.maximum(f, 1e-300)
+        if stop_each_iteration:
+            test |= data <= stop
+        ended = test | (k - begin >= cfg.max_iters) if k >= cap_at else test
         f = f_new
-    return a, np.array(totals), ~active, data
 
 
 def _as_batch(d: np.ndarray, obs, alpha0):
@@ -305,13 +356,10 @@ def sparse_code_fixed(d: np.ndarray, obs: Union[Observation, Sequence[Observatio
     column) or cfg.max_iters is hit.
     """
     observations, a, single = _as_batch(d, obs, alpha0)
-    a, totals, stopped, level = _descend(d, batch_projector(observations).project,
-                                         a, cfg, _resolve_step(d, cfg.step),
-                                         stop_consistency)
-    iterations = len(totals) - 1
-    if single:
-        return a[:, 0], SolveTrace(totals, iterations, bool(stopped[0]), float(level[0]))
-    return a, SolveTrace(totals, iterations, bool(stopped.all()), level)
+    a, totals, stopped, level = _descend(d, batch_projector(observations), a, cfg,
+                                         _resolve_step(d, cfg.step), stop_consistency)
+    return a[:, 0] if single else a, SolveTrace(
+        totals, len(totals) - 1, bool(stopped.all()), float(level[0]) if single else level)
 
 
 def _auto_lam0(d: np.ndarray, observations: List[Observation], project_batch) -> np.ndarray:
@@ -332,60 +380,58 @@ def sparse_code_adaptive(d: np.ndarray, obs: Union[Observation, Sequence[Observa
 
     Takes one observation with (M,) codes or a sequence of T observations
     with (M, T) codes; every signal keeps its own lam, and its own epsilon
-    when hcfg.epsilon holds one per column.  Each stage makes one
-    :func:`sparse_code_fixed` call, to convergence at the current lam, on
-    the signals whose consistency is still above epsilon, starting from
-    the previous stage's codes.  If max_stages is exhausted before the
+    when hcfg.epsilon holds one per column.  Each signal solves to
+    convergence at its current lam, then, while its consistency is above
+    epsilon, goes on at once from those codes at lam * decay; the whole
+    schedule is one kernel call.  If max_stages is exhausted before the
     consistency target is met, the last iterate is returned with
     converged=False.
     """
     observations, a, single = _as_batch(d, obs, alpha0)
-    project_batch = batch_projector(observations).project
-    inner = replace(hcfg.inner, step=_resolve_step(d, hcfg.inner.step))
+    projector = batch_projector(observations)
     t_count = a.shape[1]
     if np.ndim(hcfg.epsilon) == 1 and hcfg.epsilon.shape[0] != t_count:
         raise ValueError(f"epsilon holds {hcfg.epsilon.shape[0]} levels for "
                          f"{t_count} observations")
-    if hcfg.lam0 is not None:
-        lam = np.full(t_count, float(hcfg.lam0))
-    else:
-        lam = _auto_lam0(d, observations, project_batch)
-    z = d @ a
-    level = 0.5 * np.sum((z - project_batch(z)) ** 2, axis=0)
-    stages: List[StageRecord] = []
-    objectives = [np.empty(0)]
-    total_iters = 0
-    for _ in range(hcfg.max_stages):
-        run = np.flatnonzero(level > hcfg.epsilon)
-        if run.size == 0:
-            break
-        codes, tr = sparse_code_fixed(d, [observations[t] for t in run], a[:, run],
-                                      replace(inner, regularizer=L1(lam[run])))
-        a[:, run] = codes
-        level[run] = tr.consistency
-        stage_lam = np.full(t_count, np.nan)
-        stage_lam[run] = lam[run]
-        stages.append(StageRecord(stage_lam, level.copy(),
-                                  np.sum(np.abs(a), axis=0), tr.iterations))
-        objectives.append(tr.objectives)
-        total_iters += tr.iterations
-        lam = lam * hcfg.decay
-    converged = bool(np.all(level <= hcfg.epsilon))
-    objectives = np.concatenate(objectives)
-    if single:
-        stages = [StageRecord(float(s.lam[0]), float(s.consistency[0]),
-                              float(s.penalty[0]), s.iterations) for s in stages]
-        return a[:, 0], SolveTrace(objectives, total_iters, converged,
-                                   float(level[0]), stages)
-    return a, SolveTrace(objectives, total_iters, converged, level, stages)
+    lam = (_auto_lam0(d, observations, projector.project) if hcfg.lam0 is None
+           else np.full(t_count, float(hcfg.lam0)))
+    inner = replace(hcfg.inner, regularizer=L1(lam))
+    log = np.full((4, hcfg.max_stages, t_count), np.nan)  # lam, level, l1, iterations
+    a, objectives, _, level = _descend(d, projector, a, inner, _resolve_step(d, inner.step),
+                                       hcfg.epsilon, (hcfg.decay, log))
+    ran, l1 = ~np.isnan(log[0]), np.sum(np.abs(a), axis=0)
+    view = (lambda x: float(x[0])) if single else (lambda x: x)
+    stages = [StageRecord(view(log[0, s]), view(np.where(ran[s], log[1, s], level)),
+                          view(np.where(ran[s], log[2, s], l1)), int(np.nanmax(log[3, s])))
+              for s in range(np.count_nonzero(ran.any(axis=1)))]
+    return a[:, 0] if single else a, SolveTrace(
+        objectives, len(objectives) - 1, bool(np.all(level <= hcfg.epsilon)), view(level),
+        stages)
 
 
 # ---------------------------------------------------------------------------
 # projection of a batch of observations
 
 
+class _Projection(partial):
+    """project((N, T)) for a batch: func on bound arguments whose arrays hold
+    one column (last axis) per observation; columns(cols) keeps columns cols."""
+
+    project = partial.__call__  # a projection also serves where a projector goes
+
+    def columns(self, cols):
+        return type(self)(self.func, *(x[..., cols] if isinstance(x, np.ndarray) else x
+                                       for x in self.args), **self.keywords)
+
+
+def _project_each(observations, z):
+    return np.stack([project_linear(o.model, o.values, z[:, t], _cache=o._cache)
+                     for t, o in enumerate(observations)], axis=1)
+
+
 def batch_projector(observations: Sequence[Observation]):
-    """Build a projector with ``project((N, T)) -> (N, T)`` for a batch."""
+    """Build a projector with ``project((N, T)) -> (N, T)`` for a batch, and
+    ``columns(cols)``, the projector of the batch's columns cols."""
     obs = list(observations)
     if not obs:
         raise ValueError("need at least one observation")
@@ -395,16 +441,12 @@ def batch_projector(observations: Sequence[Observation]):
                          "separable (interval) ones")
     if not isinstance(first.model, GeneralLinear):
         intervals = [o.intervals() for o in obs]
-        bounds = _clamp_bounds(*(np.stack([getattr(iv, f.name) for iv in intervals], axis=1)
-                                 for f in fields(IntervalSet)))
-        return SimpleNamespace(project=partial(_clamp, *bounds))
-    if all(o.model is first.model for o in obs):
+        projection = _Projection(_clamp, *_clamp_bounds(
+            *(np.stack([getattr(iv, f.name) for iv in intervals], axis=1)
+              for f in fields(IntervalSet))))
+    elif all(o.model is first.model for o in obs):
         y = np.stack([o.values for o in obs], axis=1)
-        return SimpleNamespace(project=partial(project_linear, first.model, y,
-                                               _cache=first._cache))
-
-    def project_columns(z):
-        return np.stack([project_linear(o.model, o.values, z[:, t], _cache=o._cache)
-                         for t, o in enumerate(obs)], axis=1)
-
-    return SimpleNamespace(project=project_columns)
+        projection = _Projection(project_linear, first.model, y, _cache=first._cache)
+    else:
+        projection = _Projection(_project_each, np.array(obs, dtype=object))
+    return SimpleNamespace(project=projection, columns=projection.columns)

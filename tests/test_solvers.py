@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from nlcs.solvers import (
     DivergenceError,
     HomotopyConfig,
     SolverConfig,
+    StageRecord,
+    _auto_lam0,
     _descend,
     _resolve_step,
     _synth_used,
@@ -33,6 +37,36 @@ from nlcs.solvers import (
 
 def _clip_problem(rng, theta=0.4, n=32, m=64, k=4):
     return random_sparse_problem("clip", rng, n=n, m=m, k=k)
+
+
+def _lockstep_adaptive(d, observations, a0, hcfg):
+    """Reference homotopy: the stage loop the one-kernel schedule replaced.
+
+    Each stage is one sparse_code_fixed call on the columns still above
+    epsilon, and every column waits for the slowest one of its stage.
+    """
+    projector = batch_projector(observations)
+    a = a0.copy()
+    t_count = a.shape[1]
+    lam = (_auto_lam0(d, observations, projector.project) if hcfg.lam0 is None
+           else np.full(t_count, float(hcfg.lam0)))
+    z = d @ a
+    level = 0.5 * np.sum((z - projector.project(z)) ** 2, axis=0)
+    stages = []
+    for _ in range(hcfg.max_stages):
+        run = np.flatnonzero(level > hcfg.epsilon)
+        if run.size == 0:
+            break
+        codes, tr = sparse_code_fixed(d, [observations[t] for t in run], a[:, run],
+                                      replace(hcfg.inner, regularizer=L1(lam[run])))
+        a[:, run] = codes
+        level[run] = tr.consistency
+        stage_lam = np.full(t_count, np.nan)
+        stage_lam[run] = lam[run]
+        stages.append(StageRecord(stage_lam, level.copy(), np.sum(np.abs(a), axis=0),
+                                  tr.iterations))
+        lam = lam * hcfg.decay
+    return a, stages
 
 
 class TestObjective:
@@ -204,6 +238,82 @@ class TestSparseCodeAdaptive:
                                   replace(inner, regularizer=L1(lam0 * 0.5)))
         assert np.array_equal(via_adaptive, a2)
 
+    @pytest.mark.parametrize("rel_tol, decay", [(1e-8, 0.5), (1e-2, 0.9)])
+    def test_chained_stages_equivalence(self, rel_tol, decay):
+        # one signal over four stages is the chained fixed-lam calls, bit for
+        # bit; a loose rel_tol makes some stages end after a few iterations
+        rng = np.random.default_rng(12)
+        d, _, x, obs = _clip_problem(rng)
+        inner = SolverConfig(L1(1.0), max_iters=120, rel_tol=rel_tol)
+        hcfg = HomotopyConfig(inner, lam0=0.25, decay=decay, epsilon=1e-300, max_stages=4)
+        via_adaptive, trace = sparse_code_adaptive(d, obs, np.zeros(64), hcfg)
+        assert len(trace.stages) == 4
+        a, lam = np.zeros(64), 0.25
+        for stage in trace.stages:
+            a, tr = sparse_code_fixed(d, obs, a, replace(inner, regularizer=L1(lam)))
+            assert (stage.lam, stage.iterations) == (lam, tr.iterations)
+            assert stage.consistency == tr.consistency
+            lam *= decay
+        assert np.array_equal(via_adaptive, a)
+        assert trace.iterations == sum(s.iterations for s in trace.stages)
+
+    @pytest.mark.parametrize("family", ["clip", "quant"])
+    def test_matches_lockstep_stage_loop(self, family):
+        rng = np.random.default_rng(24)
+        problems = [random_sparse_problem(family, rng, n=32, m=64, k=4) for _ in range(8)]
+        d = problems[0][0]
+        observations = [apply_measurement(problems[0][3].model, p[2]) for p in problems]
+        eps = rng.choice([1e-3, 1e-2, 1e-1], size=8)
+        hcfg = HomotopyConfig(SolverConfig(L1(1.0), max_iters=300), epsilon=eps)
+        a0 = np.zeros((64, 8))
+        codes, trace = sparse_code_adaptive(d, observations, a0, hcfg)
+        want_codes, want = _lockstep_adaptive(d, observations, a0, hcfg)
+        np.testing.assert_allclose(codes, want_codes, rtol=0.0, atol=1e-10)
+        assert len(trace.stages) == len(want) > 1
+        assert np.isnan(trace.stages[-1].lam).any()  # some columns sit late stages out
+        for got, ref in zip(trace.stages, want):
+            for name in ("lam", "consistency", "penalty"):
+                np.testing.assert_allclose(getattr(got, name), getattr(ref, name),
+                                           rtol=0.0, atol=1e-12)
+            assert got.iterations == ref.iterations
+        assert np.all(np.diff(trace.objectives) <= 1e-12)
+
+    def test_divergence_in_a_later_stage(self):
+        # at lam0 >= ||D^T proj(0)||_inf the zero start is a fixed point, so
+        # the first stage ends after one iteration; the second one diverges
+        rng = np.random.default_rng(5)
+        d, _, _, obs = _clip_problem(rng)
+        lam0 = np.abs(d.T @ project(obs.intervals(), np.zeros(32))).max()
+        inner = SolverConfig(L1(1.0), step=1e12, max_iters=50)
+        a, trace = sparse_code_adaptive(d, obs, np.zeros(64),
+                                        HomotopyConfig(inner, lam0=lam0, decay=1e-3,
+                                                       max_stages=1))
+        assert trace.stages[0].iterations == 1 and not a.any()
+        with pytest.raises(DivergenceError, match="iteration"):
+            sparse_code_adaptive(d, obs, np.zeros(64),
+                                 HomotopyConfig(inner, lam0=lam0, decay=1e-3, max_stages=2))
+
+    @pytest.mark.parametrize("lam0", [-1.0, np.nan, np.inf])
+    def test_bad_lam0_rejected(self, lam0):
+        with pytest.raises(ValueError, match="lam0 must be finite and >= 0"):
+            HomotopyConfig(SolverConfig(L1(1.0)), lam0=lam0)
+
+    def test_per_column_configs_compare_and_hash_by_value(self):
+        assert L1(np.array([1.0, 2.0])) == L1(np.array([1.0, 2.0]))
+        assert L1(np.array([1.0, 2.0])) != L1(np.array([1.0, 3.0]))
+        assert L1(np.array([1.0, 2.0])) != L1(np.array([1.0, 2.0, 0.0]))
+        inner = SolverConfig(L1(1.0))
+        h1 = HomotopyConfig(inner, epsilon=np.array([1e-3, 1e-2]))
+        h2 = HomotopyConfig(inner, epsilon=np.array([1e-3, 1e-2]))
+        assert h1 == h2 and hash(h1) == hash(h2) and len({h1, h2}) == 1
+        assert h1 != HomotopyConfig(inner, epsilon=np.array([1e-3, 1e-1]))
+        assert h1 != HomotopyConfig(inner, epsilon=1e-3)
+        # scalar configs compare and hash as before
+        assert L1(1.0) == L1(1) and hash(L1(1.0)) == hash(L1(1))
+        assert L1(1.0) != L1(np.array([1.0])) and L1(1.0) != 1.0
+        assert HomotopyConfig(inner) == HomotopyConfig(inner)
+        assert hash(HomotopyConfig(inner)) == hash(HomotopyConfig(inner))
+
     def test_exhausted_stages_flagged_not_converged(self):
         rng = np.random.default_rng(13)
         d, _, x, obs = _clip_problem(rng)
@@ -366,6 +476,66 @@ class TestBatchSolver:
             assert stage_counts[t] == len(tr.stages)
             assert np.abs(batch[:, t] - single).max() <= 1e-10
             assert trace.consistency[t] == pytest.approx(tr.consistency, abs=1e-12)
+
+    @pytest.mark.parametrize("adaptive", [True, False])
+    def test_prox_runs_on_the_columns_still_running(self, monkeypatch, adaptive):
+        # a column leaves the batch when it finishes: iteration k computes
+        # exactly the columns whose own solve runs k iterations or more
+        rng = np.random.default_rng(25)
+        problems = [random_sparse_problem("clip", rng, n=32, m=64, k=4) for _ in range(8)]
+        d = problems[0][0]
+        observations = [apply_measurement(problems[0][3].model, p[2]) for p in problems]
+        a0 = np.zeros((64, 8))
+        inner = SolverConfig(L1(1e-2), max_iters=150)
+        eps = np.array([1e-3, 1e-1, 1e-2, 1e-3, 1e-1, 1e-2, 1e-3, 1e-2])
+
+        def solve(obs, start, eps):
+            if adaptive:
+                return sparse_code_adaptive(d, obs, start, HomotopyConfig(inner, epsilon=eps))
+            return sparse_code_fixed(d, obs, start, inner, stop_consistency=eps)
+
+        runs = np.array([solve(obs, a0[:, t], float(eps[t]))[1].iterations
+                         for t, obs in enumerate(observations)])
+        assert len(set(runs)) > 1
+        widths = []
+        prox = nlcs.solvers.prox_l1
+        monkeypatch.setattr(nlcs.solvers, "prox_l1",
+                            lambda v, t: widths.append(v.shape[1]) or prox(v, t))
+        codes, trace = solve(observations, a0, eps)
+        assert trace.iterations == runs.max()
+        assert widths == [np.count_nonzero(runs >= k) for k in range(1, runs.max() + 1)]
+        if not adaptive:  # finished columns stay in the total, frozen
+            final = sum(objective(d, codes[:, t], o, inner) for t, o in enumerate(observations))
+            assert trace.objectives[-1] == pytest.approx(final, rel=1e-12)
+
+    def test_adaptive_builds_one_projector(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        problems = [random_sparse_problem("quant", rng, n=32, m=64, k=4) for _ in range(4)]
+        observations = [apply_measurement(problems[0][3].model, p[2]) for p in problems]
+        builds = []
+        build = nlcs.solvers.batch_projector
+        monkeypatch.setattr(nlcs.solvers, "batch_projector",
+                            lambda obs: builds.append(1) or build(obs))
+        _, trace = sparse_code_adaptive(problems[0][0], observations, np.zeros((64, 4)),
+                                        HomotopyConfig(SolverConfig(L1(1.0), max_iters=100)))
+        assert len(trace.stages) > 1 and len(builds) == 1
+
+    @pytest.mark.parametrize("family", ["clip", "linear", "per-column linear"])
+    def test_projector_columns_match_a_projector_of_those_observations(self, family):
+        rng = np.random.default_rng(27)
+        if family == "per-column linear":
+            observations = [random_observation("linear", rng, 16)[0] for _ in range(5)]
+        else:
+            model = random_model(family, rng, 16)
+            observations = [apply_measurement(model, rng.standard_normal(16))
+                            for _ in range(5)]
+        z = rng.standard_normal((16, 3))
+        cols = np.array([0, 2, 4])
+        got = batch_projector(observations).columns(cols)
+        want = batch_projector([observations[t] for t in cols]).project(z)
+        assert np.array_equal(got.project(z), want)
+        one = batch_projector([observations[2]]).project(z[:, 1:2])
+        assert np.array_equal(got.columns(np.array([1])).project(z[:, 1:2]), one)
 
     def test_stop_consistency_threshold(self):
         rng = np.random.default_rng(18)
