@@ -21,6 +21,7 @@ from .dictlearn import export_dictionary_text, load_dictionary, save_dictionary
 from .experiments import (
     AUDIO_TASKS,
     SolveParams,
+    check_methods,
     frame_observations,
     learn_dictionary,
     run_audio,
@@ -286,6 +287,8 @@ def _distortion_tag(task: str, theta, bits) -> str:
 
 
 def cmd_audio(cfg: RunConfig, task: str) -> int:
+    methods = [m.strip() for m in cfg.method.split(",") if m.strip()]
+    check_methods(methods)  # before anything is solved
     samples, rate = wav_read(cfg.input)
     reference = None
     if cfg.reference:
@@ -299,9 +302,7 @@ def cmd_audio(cfg: RunConfig, task: str) -> int:
     theta = _one_level(cfg, "theta", default_theta)
     bits = _one_level(cfg, "bits", 3 if task == "dequant" else None)
 
-    methods = [m.strip() for m in cfg.method.split(",") if m.strip()]
     rows = []
-    estimate = None
     peak = np.max(np.abs(samples))
     for method in methods:
         result = run_audio(task, samples, frame_spec, params, theta=theta,
@@ -313,10 +314,9 @@ def cmd_audio(cfg: RunConfig, task: str) -> int:
             rows.append(EvalRow(tag, result.method, result.snr_db,
                                 result.runtime_s, cfg.seed))
             _progress(f"{tag} {result.method}: SNR {result.snr_db:.2f} dB")
-        estimate = result.estimate
 
     out_wav = cfg.out or f"{cfg.input.rsplit('.', 1)[0]}_{task}_out.wav"
-    est = estimate
+    est = result.estimate  # the last method's
     est_peak = np.max(np.abs(est))
     if task == "onebit" and est_peak > 0:
         est = est / est_peak  # amplitude is not recoverable from signs

@@ -66,6 +66,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 AUDIO_TASKS = ("declip", "dequant", "onebit")
+METHODS = ("fixed", "adaptive", "iht", "baseline")
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,6 @@ def _solve(d, observations, method, params: SolveParams, *,
     observation: the homotopy's target (params.epsilon when None), else an
     early stop.
     """
-    if method not in ("fixed", "adaptive", "iht"):
-        raise ValueError(f"unknown method {method!r}")
     step = _resolve_step(d)
     k = params.k if method == "iht" else None
     if classical_start:
@@ -151,28 +150,42 @@ def _estimate(d, codes, observations, top_k: bool) -> np.ndarray:
     return batch_projector(observations).project(z)
 
 
-def _synth_estimates(d, observations, method, task, params: SolveParams) -> np.ndarray:
-    """Solve a batch of synthetic instances; (N, T) final signal estimates."""
-    if method == "baseline":
-        observations, stop = _baseline_observations(observations, task)
-        codes = _solve(d, observations, "adaptive", params, stop=stop)
-    else:
-        codes = _solve(d, observations, method, params, classical_start=method == "iht")
-    return _estimate(d, codes, observations, method == "iht")
+def _synth_estimates(d, observations, methods, task, params: SolveParams) -> List[np.ndarray]:
+    """(N, T) final estimates of a batch, one per method: fixed or iht alone, or adaptive
+    and baseline in one homotopy call, their observations in the order of methods."""
+    if methods[0] in ("fixed", "iht"):
+        codes = _solve(d, observations, methods[0], params, classical_start=methods[0] == "iht")
+        return [_estimate(d, codes, observations, methods[0] == "iht")]
+    t, eps = len(observations), np.full(len(observations), params.epsilon)
+    sets = [(observations, eps) if m == "adaptive" else _baseline_observations(observations, task)
+            for m in methods]
+    codes = _solve(d, [o for obs, _ in sets for o in obs], "adaptive", params,
+                   stop=np.concatenate([eps if stop is None else stop for _, stop in sets]))
+    return [_estimate(d, codes[:, i * t:(i + 1) * t], obs, False)
+            for i, (obs, _) in enumerate(sets)]
+
+
+def check_methods(methods: Sequence[str]) -> None:
+    """Reject an unknown method, a repeated one or an empty list."""
+    for i, method in enumerate(methods or [""]):
+        if method not in METHODS or method in methods[:i]:
+            raise ValueError(f"method {method!r} is listed twice" if method in METHODS else
+                             f"unknown method {method!r} (choose from {','.join(METHODS)})")
 
 
 def run_synth(spec: SyntheticSpec, distortion: str, levels: Sequence,
               methods: Sequence[str], params: SolveParams, seed: int):
     """Distortion sweep over a synthetic ensemble.
 
-    Each method makes one batched solve over the observations of every
-    level; a row's runtime is the wall time of its method's solve, shared
-    by that method's rows.  Returns (rows, per_signal) where rows hold the
-    mean SNR per (level, method) and per_signal maps (level, method) to the
-    individual SNR values.
+    Each solve is batched over the observations of every level: one for
+    fixed, one for iht, and one that adaptive and baseline share.  A row's
+    runtime is the wall time of the solve its method ran in.  Returns
+    (rows, per_signal) where rows hold the mean SNR per (level, method) and
+    per_signal maps (level, method) to the individual SNR values.
     """
     if distortion not in ("clip", "quant"):
         raise ValueError(f"unknown distortion {distortion!r}")
+    check_methods(methods)
     d, _, signals = gen_synthetic(replace(spec, seed=seed))
     if not levels:
         return [], {}
@@ -193,11 +206,12 @@ def run_synth(spec: SyntheticSpec, distortion: str, levels: Sequence,
     task = "declip" if distortion == "clip" else "dequant"
     truth = np.tile(signals, len(levels))
     snrs, runtimes = {}, {}
-    for method in methods:
+    joint = [m for m in methods if m in ("adaptive", "baseline")]
+    for group in [[m] for m in methods if m not in joint] + ([joint] if joint else []):
         t0 = time.perf_counter()
-        estimates = _synth_estimates(d, observations, method, task, params)
-        snrs[method] = np.array([snr_db(xhat, x) for xhat, x in zip(estimates.T, truth.T)])
-        runtimes[method] = time.perf_counter() - t0
+        for method, est in zip(group, _synth_estimates(d, observations, group, task, params)):
+            snrs[method] = np.array([snr_db(xhat, x) for xhat, x in zip(est.T, truth.T)])
+        runtimes.update(dict.fromkeys(group, time.perf_counter() - t0))
     rows: List[EvalRow] = []
     per_signal = {}
     count = signals.shape[1]
@@ -297,6 +311,7 @@ def run_audio(task: str, samples: np.ndarray, frame_spec: FrameSpec,
     """
     if task not in AUDIO_TASKS:
         raise ValueError(f"unknown task {task!r}")
+    check_methods([method])
     if learn_dict and method in ("fixed", "adaptive"):
         raise ValueError("dictionary learning is only wired to the iht coder")
     t0 = time.perf_counter()

@@ -48,15 +48,18 @@ def spectral_norm(matrix: np.ndarray) -> float:
 
 
 def prox_l1(v: np.ndarray, threshold: float) -> np.ndarray:
-    """Soft threshold: sign(v_i) * max(|v_i| - threshold, 0) element-wise.
+    """Soft threshold: max(|v_i| - threshold, 0) with v_i's sign bit (-0.0 stays -0.0).
 
     For an (M, T) array the threshold may also hold one value per column.
     """
     t = np.asarray(threshold)
-    if not ((t >= 0) & (t < np.inf)).all():
+    if not (0 <= t < np.inf if t.ndim == 0
+            else np.logical_and.reduce((t >= 0) & (t < np.inf), axis=None)):
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
     v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
+    out = np.abs(v, out=np.empty(v.shape))  # an array even for a 0-d v
+    out -= t
+    return np.copysign(np.maximum(out, 0.0, out=out), v, out=out)
 
 
 def prox_l0_topk(v: np.ndarray, sparsity: int) -> np.ndarray:

@@ -18,8 +18,8 @@ lam, warm-starting each stage, until the data term falls below a target
 consistency epsilon.
 
 Signals do not interact once D is fixed, so every coder runs one kernel on
-(M, T) code matrices, one column per signal: each column runs its own
-schedule, homotopy stages included, and leaves the batch when it is done.
+(M, T) code matrices, one column per signal and feasibility set: each column
+runs its own schedule and epsilon, and leaves the batch when it is done.
 Top-K codes synthesize D a from the atoms in use; the gradient stays
 dense, as the next support needs every atom's correlation.
 """
@@ -238,20 +238,23 @@ def _descend(d: np.ndarray, projector, a: np.ndarray, cfg: SolverConfig,
     (decay, log), a column still above stop_consistency then goes on at
     lam * decay while log has a row left, and log[:, s, t] gets column t's
     lam, data term, l1 norm and iterations after its stage s.  Finished
-    columns leave the batch (projector.columns).  Returns the codes, the
-    total objective (finished columns frozen) before the first and after
-    every iteration, per-column flags "last stage ended by its test" and
-    the final data terms.
+    columns leave the batch (projector.columns); projector.project must
+    return a new array, which becomes the residual in place.  Returns the
+    codes, the total objective (finished columns frozen) before the first
+    and after every iteration, per-column flags "last stage ended by its
+    test" and the final data terms.
 
     On small batches the loop is bound by Python overhead, so the
-    regulariser is resolved once, reductions call the ufuncs directly and
-    the iteration cap is tested only once some column can reach it.
+    regulariser is resolved once, the schedule is one array, reductions
+    call the ufuncs directly and the iteration cap is tested only once some
+    column can reach it.
     """
     reg = cfg.regularizer
     add, every_of, any_of = np.add.reduce, np.logical_and.reduce, np.logical_or.reduce
     t_count = a.shape[1]
-    lam = np.array(getattr(reg, "lam", 0.0), dtype=float)  # a copy: stages scale it
-    stop = np.broadcast_to(-np.inf if stop_consistency is None else stop_consistency, t_count)
+    lam, stop, stage, begin, cols = sched = np.array(np.broadcast_arrays(
+        getattr(reg, "lam", 0.0), -np.inf if stop_consistency is None else stop_consistency,
+        0.0, 0.0, np.arange(t_count)), dtype=float)
     decay, log = homotopy or (None, None)
     stop_each_iteration = stop_consistency is not None and log is None
     if isinstance(reg, L1):
@@ -272,53 +275,52 @@ def _descend(d: np.ndarray, projector, a: np.ndarray, cfg: SolverConfig,
             return data
 
     z = synth(d, a)
-    p = projector.project(z)
-    data = 0.5 * add((z - p) ** 2, axis=0)
+    r = projector.project(z)
+    r -= z  # the residual proj(D a) - D a, in the projection's new array
+    data = 0.5 * add(r ** 2, axis=0)
     f = penalized(data, a)
     out, final, stopped = a, np.empty(t_count), np.empty(t_count, bool)
-    cols, stage, begin = np.arange(t_count), np.zeros(t_count, int), np.zeros(t_count, int)
     totals, frozen, threshold, cap_at, k = [float(add(f))], 0.0, lam * mu, cfg.max_iters, 0
     test = ended = data <= stop  # a column already at its level never runs
     while True:
         if any_of(ended):
             if log is not None and k:
                 e = ended.nonzero()[0]
-                s, l1, de = stage[e], add(np.abs(a[:, e]), axis=0), data[e]
-                log[:, s, cols[e]] = lam[e], de, l1, k - begin[e]
-                go = (s + 1 < log.shape[1]) & (de > stop[e])
+                l1, (lam_e, stop_e, s, b, c) = add(np.abs(a[:, e]), axis=0), sched[:, e]
+                log[:, s.astype(int), c.astype(int)] = lam_e, data[e], l1, k - b
+                go = (s + 1 < log.shape[1]) & (data[e] > stop_e)
                 go_on = e[go]
                 lam[go_on] *= decay
-                f[go_on] = de[go] + lam[go_on] * l1[go]
-                stage[go_on] += 1
-                begin[go_on] = k
-                ended[go_on] = False
+                f[go_on] = data[go_on] + lam[go_on] * l1[go]
+                stage[go_on], begin[go_on], ended[go_on] = s[go] + 1, k, False
             if any_of(ended):
                 if every_of(ended) and cols.size == t_count:  # never compacted: no copy
                     return a, np.array(totals), test, data
-                done = cols[ended]
+                done = cols[ended].astype(int)
                 out[:, done], final[done], stopped[done] = a[:, ended], data[ended], test[ended]
                 if done.size == cols.size:
                     return out, np.array(totals), stopped, final
                 frozen += float(add(f[ended]))
                 keep = (~ended).nonzero()[0]
-                a, z, p, f, data, stop, cols, stage, begin = (
-                    x[..., keep] for x in (a, z, p, f, data, stop, cols, stage, begin))
-                lam = lam[..., keep] if lam.ndim else lam
+                a, r, f, data, sched = (x[..., keep] for x in (a, r, f, data, sched))
+                lam, stop, stage, begin, cols = sched
                 projector = projector.columns(keep)
             threshold, cap_at = lam * mu, np.minimum.reduce(begin) + cfg.max_iters
         k += 1
-        a_new = prox(a + mu * (d.T @ (p - z)))
-        z_new = synth(d, a_new)
-        p_new = projector.project(z_new)
-        # ** 2 squares the temporary in place; np.square would allocate a
-        # second (N, T) array per iteration and add page faults on audio
-        data = 0.5 * add((z_new - p_new) ** 2, axis=0)
+        g = d.T @ r
+        g *= mu
+        g += a
+        a_new = prox(g)
+        z = synth(d, a_new)
+        r = projector.project(z)
+        r -= z
+        data = 0.5 * add(r ** 2, axis=0)
         f_new = penalized(data, a_new)
         total = float(add(f_new))
         if not total < np.inf:  # every term is >= 0: NaN or inf in one reaches the sum
             raise DivergenceError(f"objective diverged at iteration {k}")
         totals.append(frozen + total)
-        a, z, p = a_new, z_new, p_new
+        a = a_new
         test = np.abs(f - f_new) <= cfg.rel_tol * np.maximum(f, 1e-300)
         if stop_each_iteration:
             test |= data <= stop

@@ -256,6 +256,45 @@ class TestErrors:
         assert not out.exists()
 
 
+class TestMethodList:
+    """--method is checked before anything is solved, with a one-line error."""
+
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        import nlcs.experiments
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the method list was checked")
+
+        monkeypatch.setattr(nlcs.experiments, "_solve", refuse)
+        monkeypatch.setattr(nlcs.experiments, "learn_dictionary", refuse)
+
+    @pytest.mark.parametrize("methods, message", [
+        ("adaptive,bogus", "unknown method 'bogus' (choose from fixed,adaptive,iht,baseline)"),
+        ("adaptive,adaptive", "method 'adaptive' is listed twice"),
+    ])
+    def test_synth(self, tmp_path, capsys, no_solve, methods, message):
+        out = tmp_path / "rows.csv"
+        rc = main(["synth", "--method", methods, "--count", "200", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["declip", "dequant", "onebit"])
+    @pytest.mark.parametrize("methods, message", [
+        ("iht,bogus", "unknown method 'bogus' (choose from fixed,adaptive,iht,baseline)"),
+        ("iht,fixed,iht", "method 'iht' is listed twice"),
+        (",", "unknown method '' (choose from fixed,adaptive,iht,baseline)"),
+    ])
+    def test_audio(self, voice_wav, tmp_path, capsys, no_solve, command, methods, message):
+        out = tmp_path / "o.wav"
+        rc = main([command, voice_wav, "--method", methods, "--reference", voice_wav,
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert not out.exists() and not (tmp_path / "o.csv").exists()
+
+
 def test_python_dash_m_runs_the_cli(tmp_path, monkeypatch):
     out = tmp_path / "rows.csv"
     monkeypatch.setattr(sys, "argv", ["nlcs", "synth", "--distortion", "clip",

@@ -130,6 +130,45 @@ class TestRunSynth:
                                            rtol=0.0, atol=1e-9)
         runtime = {r.method: r.runtime_s for r in rows[:len(methods)]}
         assert all(r.runtime_s == runtime[r.method] for r in rows)
+        # adaptive and baseline share one solve, fixed has its own
+        assert runtime["adaptive"] == runtime["baseline"] != runtime["fixed"]
+
+    @pytest.mark.parametrize("distortion, levels", [("clip", [0.2, 0.4]), ("quant", [2, 3])])
+    def test_joint_solve_matches_methods_solved_alone(self, distortion, levels, monkeypatch):
+        # adaptive and baseline run as one homotopy call, the baseline's
+        # columns with their own epsilon (per-column dequantization stops
+        # at two step sizes for quant); each signal gets the SNR its method
+        # gets when solved alone
+        import nlcs.experiments
+
+        spec = SyntheticSpec(seed=9, count=6)
+        params = SolveParams(iters=200)
+        alone = {}
+        for m in ("adaptive", "baseline"):
+            alone.update(run_synth(spec, distortion, levels, [m], params, seed=9)[1])
+        calls = []
+        solve = nlcs.experiments.sparse_code_adaptive
+        monkeypatch.setattr(nlcs.experiments, "sparse_code_adaptive",
+                            lambda d, obs, a0, h: calls.append(h.epsilon) or solve(d, obs, a0, h))
+        rows, joint = run_synth(spec, distortion, levels, ["baseline", "adaptive"], params,
+                                seed=9)
+        assert [r.method for r in rows] == ["baseline", "adaptive"] * len(levels)
+        assert len(calls) == 1 and calls[0].shape == (2 * 6 * len(levels),)
+        assert len(set(calls[0])) == (1 if distortion == "clip" else 3)
+        for key, snrs in alone.items():
+            np.testing.assert_allclose(joint[key], snrs, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("methods, message", [
+        (["adaptive", "bogus"], "unknown method 'bogus'"),
+        (["fixed", "adaptive", "fixed"], "method 'fixed' is listed twice"),
+        ([], "unknown method ''"),
+    ])
+    def test_method_list_checked_before_any_solve(self, methods, message, monkeypatch):
+        import nlcs.experiments
+
+        monkeypatch.setattr(nlcs.experiments, "_solve", None)  # any solve would fail
+        with pytest.raises(ValueError, match=message):
+            run_synth(SyntheticSpec(count=2), "clip", [0.3], methods, SolveParams(), seed=0)
 
     def test_unknown_distortion_rejected(self):
         with pytest.raises(ValueError):

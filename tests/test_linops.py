@@ -134,6 +134,63 @@ class TestProxL1:
             lhs = np.linalg.norm(prox_l1(a, t) - prox_l1(b, t))
             assert lhs <= np.linalg.norm(a - b) + 1e-12
 
+    @pytest.mark.parametrize("t", [0.0, 0.3, 2.0])
+    def test_matches_sign_formula_bit_for_bit_on_nonzero_input(self, t):
+        # entries below, at and above the threshold, both signs; the only
+        # input the two forms disagree on is -0.0 (see the next test)
+        rng = np.random.default_rng(4)
+        v = rng.standard_normal((32, 6))
+        v[:4] = np.array([0.3, -0.3, 2.0, -2.0])[:, None]
+        want = np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        assert_bitwise_equal(prox_l1(v, t), want)
+
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_signed_zeros(self, t):
+        # the result takes the input's sign bit, so -0.0 stays -0.0 where
+        # sign(v) * max(|v| - t, 0) gave +0.0; a negative input shrunk to
+        # zero gives -0.0 in both forms
+        v = np.array([0.0, -0.0, 0.1, -0.1])
+        out = prox_l1(v, t)
+        assert np.array_equal(np.signbit(out), [False, True, False, True])
+        old = np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        assert np.array_equal(np.signbit(old), [False, False, False, True])
+        assert np.array_equal(out, old)  # equal as numbers: -0.0 == +0.0
+
+    def test_nan_and_infinite_input(self):
+        v = np.array([np.nan, -np.nan, np.inf, -np.inf, 1.0])
+        out = prox_l1(v, 0.5)
+        assert np.isnan(out[:2]).all()
+        assert np.array_equal(np.signbit(out[:2]), np.signbit(v[:2]))
+        assert np.array_equal(out[2:], [np.inf, -np.inf, 0.5])
+        assert_bitwise_equal(prox_l1(v, 0.0), v)
+
+    def test_zero_threshold_returns_a_copy(self):
+        v = np.array([[1.5, -0.0], [np.inf, -2.0]])
+        keep = v.copy()
+        out = prox_l1(v, 0.0)
+        assert_bitwise_equal(out, v)
+        assert out is not v and not np.shares_memory(out, v)
+        out[0, 0] = 7.0
+        assert_bitwise_equal(v, keep)  # the input is never written
+
+    def test_per_column_threshold_matches_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((16, 5))
+        t = np.array([0.0, 0.1, 0.5, 1.0, 3.0])
+        out = prox_l1(v, t)
+        for j in range(5):
+            assert_bitwise_equal(out[:, j], prox_l1(v[:, j], t[j]))
+        assert not out[:, 4].any() and np.array_equal(out[:, 0], v[:, 0])
+
+    @pytest.mark.parametrize("bad", [-0.1, np.array([0.1, -1e-300]), np.array([np.nan])])
+    def test_rejects_any_bad_threshold_entry(self, bad):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            prox_l1(np.ones((3, 2)), bad)
+
+    def test_zero_dimensional_input(self):
+        assert prox_l1(-2.0, 0.75) == -1.25
+        assert prox_l1(np.float64(0.5), 0.75) == 0.0
+
 
 def topk_by_stable_sort(v, k):
     """Reference top-K: stable argsort of -|v|, lowest index first among ties."""

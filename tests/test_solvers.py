@@ -123,6 +123,25 @@ class TestSparseCodeFixed:
         assert np.array_equal(alpha, alpha_true)
         assert trace.converged
 
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_callers_arrays_are_not_written(self, adaptive):
+        # the kernel reuses the projection's array for the residual and
+        # steps in place; the dictionary, the start and the stop levels a
+        # caller passes come back as they were
+        rng = np.random.default_rng(4)
+        problems = [random_sparse_problem("clip", rng, n=32, m=64, k=4) for _ in range(3)]
+        d = problems[0][0]
+        observations = [apply_measurement(problems[0][3].model, p[2]) for p in problems]
+        a0, eps = 0.01 * rng.standard_normal((64, 3)), np.array([1e-3, 1e-2, 1e-1])
+        kept = [x.copy() for x in (d, a0, eps)]
+        cfg = SolverConfig(L1(1e-2), max_iters=100)
+        if adaptive:
+            sparse_code_adaptive(d, observations, a0, HomotopyConfig(cfg, epsilon=eps))
+        else:
+            sparse_code_fixed(d, observations, a0, cfg, stop_consistency=eps)
+        for x, y in zip((d, a0, eps), kept):
+            assert np.array_equal(x, y)
+
     def test_synthetic_instance_trace(self):
         rng = np.random.default_rng(4)
         d, _, x, obs = _clip_problem(rng)
