@@ -288,7 +288,7 @@ def _distortion_tag(task: str, theta, bits) -> str:
 
 def cmd_audio(cfg: RunConfig, task: str) -> int:
     methods = [m.strip() for m in cfg.method.split(",") if m.strip()]
-    check_methods(methods)  # before anything is solved
+    check_methods(methods, cfg.learn)  # before anything is read or solved
     samples, rate = wav_read(cfg.input)
     reference = None
     if cfg.reference:
@@ -382,8 +382,8 @@ def cmd_learn_dict(cfg: RunConfig) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = _merge_config(args.command, args)
     try:
+        cfg = _merge_config(args.command, args)
         if cfg.command == "synth":
             return cmd_synth(cfg)
         if cfg.command in AUDIO_TASKS:

@@ -22,9 +22,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .measurements import Observation
-from .solvers import (L0, SolverConfig, _descend, _penalty, _resolve_step, _synth_used,
-                      batch_projector)
+from .measurements import Observation, batch_projector
+from .solvers import L0, SolverConfig, _descend, _penalty, _resolve_step, _synth_used
 
 __all__ = [
     "DictLearnConfig",

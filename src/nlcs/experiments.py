@@ -28,6 +28,7 @@ from .measurements import (
     OneBit,
     UniformQuantizer,
     apply_measurement,
+    batch_projector,
     estimate_clip_model,
 )
 from .pipeline import (
@@ -49,7 +50,6 @@ from .solvers import (
     SolverConfig,
     _resolve_step,
     _synth_used,
-    batch_projector,
     sparse_code_adaptive,
     sparse_code_fixed,
 )
@@ -165,12 +165,15 @@ def _synth_estimates(d, observations, methods, task, params: SolveParams) -> Lis
             for i, (obs, _) in enumerate(sets)]
 
 
-def check_methods(methods: Sequence[str]) -> None:
-    """Reject an unknown method, a repeated one or an empty list."""
+def check_methods(methods: Sequence[str], learn: bool = False) -> None:
+    """Reject an unknown method, a repeated one or an empty list, and with
+    learn (dictionary learning) the l1 coders fixed and adaptive."""
     for i, method in enumerate(methods or [""]):
         if method not in METHODS or method in methods[:i]:
             raise ValueError(f"method {method!r} is listed twice" if method in METHODS else
                              f"unknown method {method!r} (choose from {','.join(METHODS)})")
+    if learn and {"fixed", "adaptive"} & set(methods):
+        raise ValueError("dictionary learning is only wired to the iht coder")
 
 
 def run_synth(spec: SyntheticSpec, distortion: str, levels: Sequence,
@@ -290,8 +293,6 @@ class AudioResult:
     method: str
     runtime_s: float
     snr_db: Optional[float] = None
-    dictionary: Optional[np.ndarray] = None
-    codes: Optional[np.ndarray] = None
 
 
 def run_audio(task: str, samples: np.ndarray, frame_spec: FrameSpec,
@@ -311,9 +312,7 @@ def run_audio(task: str, samples: np.ndarray, frame_spec: FrameSpec,
     """
     if task not in AUDIO_TASKS:
         raise ValueError(f"unknown task {task!r}")
-    check_methods([method])
-    if learn_dict and method in ("fixed", "adaptive"):
-        raise ValueError("dictionary learning is only wired to the iht coder")
+    check_methods([method], learn_dict)
     t0 = time.perf_counter()
     if task == "declip" and detect:
         model = None
@@ -356,4 +355,4 @@ def run_audio(task: str, samples: np.ndarray, frame_spec: FrameSpec,
         # even when the input was clipped before it reached us (detect mode)
         ref = ref / peak
         snr = angular_snr_db(estimate, ref) if task == "onebit" else snr_db(estimate, ref)
-    return AudioResult(estimate, label, runtime, snr, d, codes)
+    return AudioResult(estimate, label, runtime, snr)

@@ -4,8 +4,10 @@ distance-to-feasibility data cost.
 Every supported measurement map f comes with the convex set of clean signals
 that are consistent with an observation y = f(x).  For the separable maps
 (identity, masking, clipping, quantization, 1-bit) that set is a per-sample
-interval box, so projecting onto it is an element-wise clamp; for a general
-linear map it is an affine subspace.  The data cost is half the squared
+interval box [lower, upper], with -inf or +inf on an open side, so
+projecting onto it is an element-wise clamp; for a general linear map it is
+an affine subspace.  batch_projector stacks the sets of T observations to
+project (N, T) signals, one per column.  The data cost is half the squared
 Euclidean distance to the set,
 
     cost(y, x) = 0.5 * ||x - proj(x)||_2^2,
@@ -17,7 +19,9 @@ Lipschitz constant of 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from types import SimpleNamespace
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +40,7 @@ __all__ = [
     "feasibility_intervals",
     "project",
     "project_linear",
+    "batch_projector",
     "cost",
     "gradient",
     "estimate_clip_model",
@@ -185,54 +190,38 @@ class IntervalSet:
     """Per-sample feasibility intervals [lower_i, upper_i].
 
     The arrays have shape (N,) for one signal, or (N, T) for T signals
-    held column-wise.  Unbounded sides are represented by an explicit flag
-    per side; the stored bound value on an unbounded side is ignored, so no
-    arithmetic is ever done with floating-point infinities.  lower_i ==
-    upper_i encodes an exactly observed sample.
+    held column-wise.  An unbounded side holds -inf (lower) or +inf
+    (upper), so projecting is a plain clamp against the two arrays.
+    lower_i == upper_i encodes an exactly observed sample.
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    lower_bounded: np.ndarray
-    upper_bounded: np.ndarray
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
         up = np.asarray(self.upper, dtype=float)
-        lb = np.asarray(self.lower_bounded, dtype=bool)
-        ub = np.asarray(self.upper_bounded, dtype=bool)
-        if not (lo.shape == up.shape == lb.shape == ub.shape) or lo.ndim not in (1, 2):
+        if lo.shape != up.shape or lo.ndim not in (1, 2):
             raise ValueError("interval arrays must share one 1-d or 2-d shape")
-        if not np.all(np.isfinite(lo[lb])) or not np.all(np.isfinite(up[ub])):
-            raise ValueError("bounded sides must be finite")
-        both = lb & ub
-        if np.any(lo[both] > up[both]):
-            raise ValueError("need lower <= upper wherever both sides are bounded")
-        for name, arr in (("lower", lo), ("upper", up),
-                          ("lower_bounded", lb), ("upper_bounded", ub)):
+        if not (np.all(lo < np.inf) and np.all(up > -np.inf)):  # also rejects NaN
+            raise ValueError("need lower < +inf and upper > -inf")
+        if np.any(lo > up):
+            raise ValueError("need lower <= upper")
+        for name, arr in (("lower", lo), ("upper", up)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @classmethod
     def equality(cls, values) -> "IntervalSet":
         v = _as_float_vector(values, "values")
-        t = np.ones(v.shape[0], dtype=bool)
-        return cls(v, v, t, t)
+        return cls(v, v)
 
     def __len__(self) -> int:
         return self.lower.shape[0]
 
     def contains(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
-        ok_lo = ~self.lower_bounded | (x >= self.lower - tol)
-        ok_up = ~self.upper_bounded | (x <= self.upper + tol)
-        return bool(np.all(ok_lo & ok_up))
-
-
-def _clamp_bounds(lower, upper, lower_bounded, upper_bounded):
-    """The box's bounds with -inf / +inf on its unbounded sides: the only
-    arrays that hold infinities, kept by batch projectors for _clamp."""
-    return np.where(lower_bounded, lower, -np.inf), np.where(upper_bounded, upper, np.inf)
+        return bool(np.all((x >= self.lower - tol) & (x <= self.upper + tol)))
 
 
 def _clamp(lo, up, x) -> np.ndarray:
@@ -247,9 +236,7 @@ def project(intervals: IntervalSet, x) -> np.ndarray:
 
     x has the shape of the intervals, (N,) or (N, T).
     """
-    iv = intervals
-    bounds = _clamp_bounds(iv.lower, iv.upper, iv.lower_bounded, iv.upper_bounded)
-    return _clamp(*bounds, np.asarray(x, dtype=float))
+    return _clamp(intervals.lower, intervals.upper, np.asarray(x, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -391,35 +378,22 @@ def feasibility_intervals(obs: Observation) -> IntervalSet:
     bin boundaries.
     """
     y = obs.values
-    n = y.shape[0]
     m = obs.model
     if isinstance(m, Identity):
         return IntervalSet.equality(y)
     if isinstance(m, Mask):
-        lo = np.where(m.reliable, y, 0.0)
-        bounded = m.reliable.copy()
-        return IntervalSet(lo, lo.copy(), bounded, bounded.copy())
+        return IntervalSet(np.where(m.reliable, y, -np.inf), np.where(m.reliable, y, np.inf))
     if isinstance(m, Clip):
-        lo = y.copy()
-        up = y.copy()
-        lower_bounded = obs.reliable | obs.clip_pos
-        upper_bounded = obs.reliable | obs.clip_neg
-        return IntervalSet(lo, up, lower_bounded, upper_bounded)
+        return IntervalSet(np.where(obs.clip_neg, -np.inf, y), np.where(obs.clip_pos, np.inf, y))
     if isinstance(m, UniformQuantizer):
         half = m.delta / 2.0
-        t = np.ones(n, dtype=bool)
-        return IntervalSet(y - half, y + half, t, t)
+        return IntervalSet(y - half, y + half)
     if isinstance(m, GeneralQuantizer):
         idx = _quantizer_bin_index(m, y)
-        lo = m.edges[idx]
-        up = m.edges[idx + 1]
-        lb = np.isfinite(lo)
-        ub = np.isfinite(up)
-        return IntervalSet(np.where(lb, lo, 0.0), np.where(ub, up, 0.0), lb, ub)
+        return IntervalSet(m.edges[idx], m.edges[idx + 1])
     if isinstance(m, OneBit):
-        zero = np.zeros(n)
         pos = y > 0
-        return IntervalSet(zero, zero.copy(), pos, ~pos)
+        return IntervalSet(np.where(pos, 0.0, -np.inf), np.where(pos, np.inf, 0.0))
     if isinstance(m, GeneralLinear):
         raise ValueError("general linear models have no separable intervals; "
                          "use project_linear")
@@ -452,6 +426,48 @@ def project_linear(model: GeneralLinear, y, x, _cache: Optional[dict] = None) ->
     resid = m @ x - (y if y.ndim == x.ndim else y[:, None])
     w = np.linalg.solve(gram, resid)
     return x - m.T @ w
+
+
+# ---------------------------------------------------------------------------
+# projection of a batch of observations
+
+
+class _Projection(partial):
+    """project((N, T)) for a batch: func on bound arguments whose arrays hold
+    one column (last axis) per observation; columns(cols) keeps columns cols."""
+
+    project = partial.__call__  # a projection also serves where a projector goes
+
+    def columns(self, cols):
+        return type(self)(self.func, *(x[..., cols] if isinstance(x, np.ndarray) else x
+                                       for x in self.args), **self.keywords)
+
+
+def _project_each(observations, z):
+    return np.stack([project_linear(o.model, o.values, z[:, t], _cache=o._cache)
+                     for t, o in enumerate(observations)], axis=1)
+
+
+def batch_projector(observations: Sequence[Observation]):
+    """Build a projector with ``project((N, T)) -> (N, T)`` for a batch, and
+    ``columns(cols)``, the projector of the batch's columns cols."""
+    obs = list(observations)
+    if not obs:
+        raise ValueError("need at least one observation")
+    first = obs[0]
+    if len({isinstance(o.model, GeneralLinear) for o in obs}) > 1:
+        raise ValueError("a batch cannot mix GeneralLinear observations with "
+                         "separable (interval) ones")
+    if not isinstance(first.model, GeneralLinear):
+        intervals = [o.intervals() for o in obs]
+        projection = _Projection(_clamp, np.stack([iv.lower for iv in intervals], axis=1),
+                                 np.stack([iv.upper for iv in intervals], axis=1))
+    elif all(o.model is first.model for o in obs):
+        y = np.stack([o.values for o in obs], axis=1)
+        projection = _Projection(project_linear, first.model, y, _cache=first._cache)
+    else:
+        projection = _Projection(_project_each, np.array(obs, dtype=object))
+    return SimpleNamespace(project=projection, columns=projection.columns)
 
 
 def _project_onto_feasibility(obs: Observation, x) -> np.ndarray:

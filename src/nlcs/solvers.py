@@ -27,22 +27,12 @@ dense, as the next support needs every atom's correlation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
-from types import SimpleNamespace
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from .linops import prox_l0_topk, prox_l1, spectral_norm
-from .measurements import (
-    GeneralLinear,
-    IntervalSet,
-    Observation,
-    _clamp,
-    _clamp_bounds,
-    cost,
-    project_linear,
-)
+from .measurements import GeneralLinear, Observation, batch_projector, cost
 
 __all__ = [
     "L1",
@@ -409,46 +399,3 @@ def sparse_code_adaptive(d: np.ndarray, obs: Union[Observation, Sequence[Observa
     return a[:, 0] if single else a, SolveTrace(
         objectives, len(objectives) - 1, bool(np.all(level <= hcfg.epsilon)), view(level),
         stages)
-
-
-# ---------------------------------------------------------------------------
-# projection of a batch of observations
-
-
-class _Projection(partial):
-    """project((N, T)) for a batch: func on bound arguments whose arrays hold
-    one column (last axis) per observation; columns(cols) keeps columns cols."""
-
-    project = partial.__call__  # a projection also serves where a projector goes
-
-    def columns(self, cols):
-        return type(self)(self.func, *(x[..., cols] if isinstance(x, np.ndarray) else x
-                                       for x in self.args), **self.keywords)
-
-
-def _project_each(observations, z):
-    return np.stack([project_linear(o.model, o.values, z[:, t], _cache=o._cache)
-                     for t, o in enumerate(observations)], axis=1)
-
-
-def batch_projector(observations: Sequence[Observation]):
-    """Build a projector with ``project((N, T)) -> (N, T)`` for a batch, and
-    ``columns(cols)``, the projector of the batch's columns cols."""
-    obs = list(observations)
-    if not obs:
-        raise ValueError("need at least one observation")
-    first = obs[0]
-    if len({isinstance(o.model, GeneralLinear) for o in obs}) > 1:
-        raise ValueError("a batch cannot mix GeneralLinear observations with "
-                         "separable (interval) ones")
-    if not isinstance(first.model, GeneralLinear):
-        intervals = [o.intervals() for o in obs]
-        projection = _Projection(_clamp, *_clamp_bounds(
-            *(np.stack([getattr(iv, f.name) for iv in intervals], axis=1)
-              for f in fields(IntervalSet))))
-    elif all(o.model is first.model for o in obs):
-        y = np.stack([o.values for o in obs], axis=1)
-        projection = _Projection(project_linear, first.model, y, _cache=first._cache)
-    else:
-        projection = _Projection(_project_each, np.array(obs, dtype=object))
-    return SimpleNamespace(project=projection, columns=projection.columns)

@@ -58,8 +58,8 @@ def _sample_away_from_bounds(obs, rng, margin=1e-4):
     iv = feasibility_intervals(obs)
     while True:
         x = 2.0 * rng.standard_normal(n)
-        near = (iv.lower_bounded & (np.abs(x - iv.lower) < margin)) | \
-               (iv.upper_bounded & (np.abs(x - iv.upper) < margin))
+        near = (np.isfinite(iv.lower) & (np.abs(x - iv.lower) < margin)) | \
+               (np.isfinite(iv.upper) & (np.abs(x - iv.upper) < margin))
         if not near.any():
             return x
 
@@ -137,8 +137,8 @@ def test_acceptance_03_closed_form_equivalence():
             obs, _ = random_observation(family, rng, n=10)
             iv = feasibility_intervals(obs)
             x = 2.0 * rng.standard_normal(10)
-            want = quantizer_cost_closed_form(iv.lower, iv.upper, iv.lower_bounded,
-                                              iv.upper_bounded, x)
+            want = quantizer_cost_closed_form(iv.lower, iv.upper, np.isfinite(iv.lower),
+                                              np.isfinite(iv.upper), x)
             worst = max(worst, abs(cost(obs, x) - want))
     for _ in range(100):
         obs, _ = random_observation("onebit", rng, n=10)

@@ -243,6 +243,22 @@ class TestErrors:
         assert err == ["error: --detect reads the clip level from the input; drop --theta"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, shown", [
+        (None, "missing.cfg"),
+        ("iters=abc\n", "invalid literal for int() with base 10: 'abc'"),
+        ("stdout=maybe\n", "not a boolean: 'maybe'"),
+    ])
+    def test_bad_config(self, tmp_path, capsys, config, shown):
+        path = tmp_path / "missing.cfg"
+        if config is not None:
+            path.write_text(config)
+        out = tmp_path / "rows.csv"
+        rc = main(["synth", "--count", "2", "--config", str(path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and shown in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["declip", "--theta", "0.2,0.4"],
                                          ["dequant", "--bits", "3,4"]])
     def test_several_levels_rejected(self, voice_wav, tmp_path, capsys, command):
@@ -285,10 +301,11 @@ class TestMethodList:
         ("iht,bogus", "unknown method 'bogus' (choose from fixed,adaptive,iht,baseline)"),
         ("iht,fixed,iht", "method 'iht' is listed twice"),
         (",", "unknown method '' (choose from fixed,adaptive,iht,baseline)"),
+        ("iht,fixed --learn", "dictionary learning is only wired to the iht coder"),
     ])
     def test_audio(self, voice_wav, tmp_path, capsys, no_solve, command, methods, message):
         out = tmp_path / "o.wav"
-        rc = main([command, voice_wav, "--method", methods, "--reference", voice_wav,
+        rc = main([command, voice_wav, "--method", *methods.split(), "--reference", voice_wav,
                    "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]

@@ -17,6 +17,7 @@ from nlcs.measurements import (
     SingularModelError,
     UniformQuantizer,
     apply_measurement,
+    batch_projector,
     cost,
     estimate_clip_model,
     feasibility_intervals,
@@ -26,7 +27,6 @@ from nlcs.measurements import (
 )
 from nlcs.measurements import _quantizer_bin_index
 from nlcs.pipeline import uniform_quantizer_for_bits, wav_read, wav_write
-from nlcs.solvers import batch_projector
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +84,8 @@ class TestFeasibilityIntervals:
         obs = apply_measurement(Clip(0.5, -0.5), np.array([0.2, 0.9, -0.7]))
         iv = feasibility_intervals(obs)
         assert iv.lower[0] == iv.upper[0] == pytest.approx(0.2)
-        assert iv.lower_bounded.tolist() == [True, True, False]
-        assert iv.upper_bounded.tolist() == [True, False, True]
+        assert np.isfinite(iv.lower).tolist() == [True, True, False]
+        assert np.isfinite(iv.upper).tolist() == [True, False, True]
         assert iv.lower[1] == pytest.approx(0.5)
         assert iv.upper[2] == pytest.approx(-0.5)
 
@@ -174,8 +174,8 @@ class TestProject:
         got = project(iv, x)
         assert got == pytest.approx(np.array([0.2, 0.7, -0.5]))
         for i in range(3):
-            lo = iv.lower[i] if iv.lower_bounded[i] else -3.0
-            up = iv.upper[i] if iv.upper_bounded[i] else 3.0
+            lo = iv.lower[i] if np.isfinite(iv.lower[i]) else -3.0
+            up = iv.upper[i] if np.isfinite(iv.upper[i]) else 3.0
             grid = np.linspace(lo, up, 20001)
             best = grid[np.argmin(np.abs(grid - x[i]))]
             assert abs(got[i] - best) < 5e-4
@@ -190,24 +190,31 @@ class TestProject:
         assert project(feasibility_intervals(obs), np.array([0.4]))[0] == 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            IntervalSet(np.array([1.0]), np.array([0.0]),
-                        np.array([True]), np.array([True]))
-        # (N, T): one signal per column, projected column by column
-        lo = np.array([[0.0, -1.0], [0.5, 0.0]])
-        bounded = np.array([[True, False], [True, True]])
-        iv = IntervalSet(lo, lo + 1.0, bounded, bounded)
+        inf, nan = np.inf, np.nan
+        for lo, up, why in [(1.0, 0.0, "lower <= upper"), (nan, 1.0, "lower < \\+inf"),
+                            (0.0, nan, "upper > -inf"), (inf, inf, "lower < \\+inf"),
+                            (-inf, -inf, "upper > -inf")]:
+            with pytest.raises(ValueError, match=why):
+                IntervalSet(np.array([lo]), np.array([up]))
+        # (N, T): one signal per column, projected column by column; -inf and
+        # +inf mark the open sides
+        lo = np.array([[0.0, -inf], [0.5, 0.0]])
+        up = np.array([[1.0, inf], [1.5, 1.0]])
+        iv = IntervalSet(lo, up)
         x = np.array([[-3.0, -3.0], [3.0, 0.5]])
         assert np.array_equal(project(iv, x), np.array([[0.0, -3.0], [1.5, 0.5]]))
+        assert iv.contains(project(iv, x)) and not iv.contains(x)
         with pytest.raises(ValueError, match="1-d or 2-d"):
-            IntervalSet(lo[None], lo[None], bounded[None], bounded[None])
+            IntervalSet(lo[None], up[None])
+        with pytest.raises(ValueError, match="1-d or 2-d"):
+            IntervalSet(lo, up[:, :1])
 
 
 def project_two_where(iv, x):
     """The clamp as it was first written: one np.where pass per side."""
     x = np.asarray(x, dtype=float)
-    out = np.where(iv.lower_bounded, np.maximum(x, iv.lower), x)
-    return np.where(iv.upper_bounded, np.minimum(out, iv.upper), out)
+    out = np.where(np.isfinite(iv.lower), np.maximum(x, iv.lower), x)
+    return np.where(np.isfinite(iv.upper), np.minimum(out, iv.upper), out)
 
 
 def assert_bits_equal(got, want):
@@ -220,7 +227,7 @@ def assert_bits_equal(got, want):
 def stack_intervals(observations):
     return IntervalSet(*(np.stack([getattr(o.intervals(), name) for o in observations],
                                   axis=1)
-                         for name in ("lower", "upper", "lower_bounded", "upper_bounded")))
+                         for name in ("lower", "upper")))
 
 
 # x against every kind of side: both zeros, NaN, infinities and ordinary values
@@ -233,8 +240,8 @@ class TestProjectBitIdentity:
     @pytest.mark.parametrize("bound", [0.0, -0.0, 1.0])
     def test_one_signal_sides_and_signed_zero(self, lb, ub, bound):
         n = EDGE_X.shape[0]
-        iv = IntervalSet(np.full(n, bound), np.full(n, bound), np.full(n, lb),
-                         np.full(n, ub))
+        iv = IntervalSet(np.full(n, bound if lb else -np.inf),
+                         np.full(n, bound if ub else np.inf))
         got = project(iv, EDGE_X)
         assert_bits_equal(got, project_two_where(iv, EDGE_X))
         if not (lb or ub):
@@ -348,8 +355,8 @@ def _away_from_bounds(obs, rng, margin=1e-3):
     iv = feasibility_intervals(obs)
     while True:
         x = 2.0 * rng.standard_normal(len(iv))
-        near_lo = iv.lower_bounded & (np.abs(x - iv.lower) < margin)
-        near_up = iv.upper_bounded & (np.abs(x - iv.upper) < margin)
+        near_lo = np.isfinite(iv.lower) & (np.abs(x - iv.lower) < margin)
+        near_up = np.isfinite(iv.upper) & (np.abs(x - iv.upper) < margin)
         if not np.any(near_lo | near_up):
             return x
 
@@ -487,8 +494,8 @@ class TestClosedFormEquivalence:
             obs, _ = random_observation(family, rng)
             iv = feasibility_intervals(obs)
             x = 2.0 * rng.standard_normal(len(iv))
-            want = quantizer_cost_closed_form(iv.lower, iv.upper, iv.lower_bounded,
-                                              iv.upper_bounded, x)
+            want = quantizer_cost_closed_form(iv.lower, iv.upper, np.isfinite(iv.lower),
+                                              np.isfinite(iv.upper), x)
             assert abs(cost(obs, x) - want) < 1e-12
 
     def test_onebit(self):

@@ -155,7 +155,7 @@ class TestSparseCodeFixed:
         rng = np.random.default_rng(5)
         d, _, x, obs = _clip_problem(rng)
         cfg = SolverConfig(L1(1e-2), step=1e12, max_iters=50)
-        with pytest.raises(DivergenceError, match="iteration"):
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="iteration"):
             sparse_code_fixed(d, obs, np.ones(64), cfg)
 
     def test_divergence_with_some_columns_stopped(self):
@@ -165,9 +165,9 @@ class TestSparseCodeFixed:
         d, _, _, obs = _clip_problem(rng)
         cfg = SolverConfig(L1(1e-2), step=1e12, max_iters=50)
         stop = np.array([np.inf, 0.0, 0.0])
-        with pytest.raises(DivergenceError, match="iteration"):
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="iteration"):
             sparse_code_fixed(d, [obs] * 3, np.ones((64, 3)), cfg, stop_consistency=stop)
-        with pytest.raises(DivergenceError, match="iteration"):
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="iteration"):
             sparse_code_fixed(d, [obs] * 3, np.ones((64, 3)), cfg)
 
     def test_prox_l1_runs_once_per_iteration(self, monkeypatch):
@@ -308,7 +308,7 @@ class TestSparseCodeAdaptive:
                                         HomotopyConfig(inner, lam0=lam0, decay=1e-3,
                                                        max_stages=1))
         assert trace.stages[0].iterations == 1 and not a.any()
-        with pytest.raises(DivergenceError, match="iteration"):
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="iteration"):
             sparse_code_adaptive(d, obs, np.zeros(64),
                                  HomotopyConfig(inner, lam0=lam0, decay=1e-3, max_stages=2))
 
@@ -533,6 +533,7 @@ class TestBatchSolver:
         observations = [apply_measurement(problems[0][3].model, p[2]) for p in problems]
         builds = []
         build = nlcs.solvers.batch_projector
+        assert build is nlcs.measurements.batch_projector  # re-exported, not a copy
         monkeypatch.setattr(nlcs.solvers, "batch_projector",
                             lambda obs: builds.append(1) or build(obs))
         _, trace = sparse_code_adaptive(problems[0][0], observations, np.zeros((64, 4)),
