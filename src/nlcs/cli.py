@@ -22,18 +22,17 @@ from .experiments import (
     AUDIO_TASKS,
     SolveParams,
     check_methods,
+    distortion,
     frame_observations,
     learn_dictionary,
     run_audio,
     run_synth,
 )
 from .linops import dct_dictionary
-from .measurements import Clip, Identity, OneBit
 from .pipeline import (
     EvalRow,
     FrameSpec,
     SyntheticSpec,
-    uniform_quantizer_for_bits,
     wav_read,
     wav_write,
     write_rows_csv,
@@ -134,8 +133,10 @@ def _merge_config(command: str, args: argparse.Namespace) -> RunConfig:
     for key, raw in file_values.items():
         if key == "command":
             continue
-        parser = _FIELD_PARSERS.get(key, str)
-        setattr(cfg, key, parser(raw))
+        try:
+            setattr(cfg, key, _FIELD_PARSERS.get(key, str)(raw))
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {key}={raw}: {exc}") from None
     for f in fields(RunConfig):
         val = getattr(args, f.name, None)
         if val is not None:
@@ -212,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, audio=True)
 
     p = sub.add_parser("baseline", help="classical linear baselines")
-    p.add_argument("--task", choices=AUDIO_TASKS + ("all",), default=None)
+    p.add_argument("--task", choices=(*AUDIO_TASKS, "all"), default=None)
     p.add_argument("--theta", type=_parse_float_list, default=None)
     p.add_argument("--bits", type=_parse_int_list, default=None)
     add_common(p, audio=True)
@@ -233,8 +234,15 @@ def _solve_params(cfg: RunConfig) -> SolveParams:
                        outer_iters=cfg.iters, inner_iters=cfg.inner_iters)
 
 
-def _one_level(cfg: RunConfig, name: str, default):
-    """The single value of the level list cfg.<name>, or default if unset."""
+_LEVEL_FLAGS = {"clip": ("theta", 0.2), "quant": ("bits", 3)}  # kind -> (flag, default)
+
+
+def _level(cfg: RunConfig, kind: str):
+    """The one level cfg sets for a distortion kind, its default if unset,
+    and None for a kind that takes no level."""
+    if kind not in _LEVEL_FLAGS:
+        return None
+    name, default = _LEVEL_FLAGS[kind]
     values = getattr(cfg, name)
     if not values:
         return default
@@ -267,10 +275,8 @@ def _emit_csv(cfg: RunConfig, rows, path) -> None:
 
 def cmd_synth(cfg: RunConfig) -> int:
     spec = SyntheticSpec(seed=cfg.seed, count=cfg.count)
-    if cfg.distortion == "clip":
-        levels = cfg.theta if cfg.theta else list(spec.clip_levels)
-    else:
-        levels = cfg.bits if cfg.bits else list(spec.quant_bits)
+    levels = ((cfg.theta or list(spec.clip_levels)) if cfg.distortion == "clip"
+              else (cfg.bits or list(spec.quant_bits)))
     methods = [m.strip() for m in cfg.method.split(",") if m.strip()]
     params = _solve_params(cfg)
     rows, _ = run_synth(spec, cfg.distortion, levels, methods, params, cfg.seed)
@@ -278,53 +284,38 @@ def cmd_synth(cfg: RunConfig) -> int:
     return 0
 
 
-def _distortion_tag(task: str, theta, bits) -> str:
-    if task == "declip":
-        return "clip:detected" if theta is None else f"clip:{theta:g}"
-    if task == "dequant":
-        return f"quant:{bits}"
-    return "onebit"
+def _rows(cfg: RunConfig, results) -> List[EvalRow]:
+    """One CSV row, with a progress line, per audio result that has an SNR."""
+    rows = []
+    for r in results:
+        if r.snr_db is not None:
+            rows.append(EvalRow(r.distortion, r.method, r.snr_db, r.runtime_s, cfg.seed))
+            _progress(f"{r.distortion} {r.method}: SNR {r.snr_db:.2f} dB ({r.runtime_s:.2f} s)")
+    return rows
 
 
 def cmd_audio(cfg: RunConfig, task: str) -> int:
     methods = [m.strip() for m in cfg.method.split(",") if m.strip()]
     check_methods(methods, cfg.learn)  # before anything is read or solved
-    samples, rate = wav_read(cfg.input)
-    reference = None
-    if cfg.reference:
-        reference, _ = wav_read(cfg.reference)
-    frame_spec = FrameSpec(cfg.frame, cfg.overlap)
-    d = _load_dict(cfg, cfg.frame)
-    params = _solve_params(cfg)
     if cfg.detect and cfg.theta:
         raise ValueError("--detect reads the clip level from the input; drop --theta")
-    default_theta = 0.2 if task == "declip" and not cfg.detect else None
-    theta = _one_level(cfg, "theta", default_theta)
-    bits = _one_level(cfg, "bits", 3 if task == "dequant" else None)
-
-    rows = []
-    peak = np.max(np.abs(samples))
-    for method in methods:
-        result = run_audio(task, samples, frame_spec, params, theta=theta,
-                           bits=bits, detect=bool(cfg.detect), method=method,
-                           learn_dict=cfg.learn, dictionary=d,
-                           reference=reference)
-        tag = _distortion_tag(task, theta, bits)
-        if result.snr_db is not None:
-            rows.append(EvalRow(tag, result.method, result.snr_db,
-                                result.runtime_s, cfg.seed))
-            _progress(f"{tag} {result.method}: SNR {result.snr_db:.2f} dB")
+    level = None if cfg.detect and task == "declip" else _level(cfg, AUDIO_TASKS[task])
+    samples, rate = wav_read(cfg.input)
+    reference = wav_read(cfg.reference)[0] if cfg.reference else None
+    results = run_audio(task, samples, FrameSpec(cfg.frame, cfg.overlap), _solve_params(cfg),
+                        methods, level=level, learn_dict=cfg.learn,
+                        dictionary=_load_dict(cfg, cfg.frame), reference=reference)
+    rows = _rows(cfg, results)
 
     out_wav = cfg.out or f"{cfg.input.rsplit('.', 1)[0]}_{task}_out.wav"
-    est = result.estimate  # the last method's
+    est = results[-1].estimate  # the last method's
     est_peak = np.max(np.abs(est))
     if task == "onebit" and est_peak > 0:
         est = est / est_peak  # amplitude is not recoverable from signs
-    wav_write(out_wav, est * peak, rate)
+    wav_write(out_wav, est * np.max(np.abs(samples)), rate)
     _progress(f"wrote {out_wav}")
     if rows:
-        csv_path = out_wav.rsplit(".", 1)[0] + ".csv"
-        _emit_csv(cfg, rows, csv_path)
+        _emit_csv(cfg, rows, out_wav.rsplit(".", 1)[0] + ".csv")
     return 0
 
 
@@ -337,35 +328,18 @@ def cmd_baseline(cfg: RunConfig) -> int:
     d = _load_dict(cfg, cfg.frame)
     params = _solve_params(cfg)
     tasks = AUDIO_TASKS if cfg.task == "all" else (cfg.task,)
-    theta = _one_level(cfg, "theta", 0.2)
-    bits = _one_level(cfg, "bits", 3)
+    levels = [_level(cfg, AUDIO_TASKS[task]) for task in tasks]  # checked before any solve
     rows = []
-    for task in tasks:
-        result = run_audio(task, samples, frame_spec, params,
-                           theta=theta if task == "declip" else None,
-                           bits=bits if task == "dequant" else None,
-                           method="baseline", dictionary=d, reference=reference)
-        tag = _distortion_tag(task, theta, bits)
-        rows.append(EvalRow(tag, "baseline", result.snr_db,
-                            result.runtime_s, cfg.seed))
-        _progress(f"{tag} baseline: SNR {result.snr_db:.2f} dB "
-                  f"({result.runtime_s:.2f} s)")
+    for task, level in zip(tasks, levels):
+        rows += _rows(cfg, run_audio(task, samples, frame_spec, params, ["baseline"],
+                                     level=level, dictionary=d, reference=reference))
     _emit_csv(cfg, rows, cfg.out or "baseline_results.csv")
     return 0
 
 
 def cmd_learn_dict(cfg: RunConfig) -> int:
     samples, _ = wav_read(cfg.input)
-    theta = _one_level(cfg, "theta", 0.2)
-    bits = _one_level(cfg, "bits", 3)
-    if cfg.distortion == "clip":
-        model = Clip(theta, -theta)
-    elif cfg.distortion == "quant":
-        model = uniform_quantizer_for_bits(bits)
-    elif cfg.distortion == "onebit":
-        model = OneBit()
-    else:
-        model = Identity()
+    model, _ = distortion(cfg.distortion, _level(cfg, cfg.distortion))
     observations, _ = frame_observations(samples, FrameSpec(cfg.frame, cfg.overlap), model)
     d, _, trace = learn_dictionary(_load_dict(cfg, cfg.frame), observations,
                                    _solve_params(cfg))

@@ -18,7 +18,7 @@ import logging
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -57,11 +57,9 @@ class DictLearnConfig:
 
 @dataclass(eq=False)
 class TrainingSet:
-    """Observations measured through one model family, plus optional clean
-    references that are used for evaluation only and never by the learner."""
+    """Observations measured through one model family."""
 
     observations: List[Observation]
-    references: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not self.observations:
@@ -87,7 +85,6 @@ class LearnTrace:
 
     after_coding: List[float] = field(default_factory=list)
     after_dict: List[float] = field(default_factory=list)
-    outer_iters: int = 0
 
 
 def project_dictionary(d: np.ndarray) -> np.ndarray:
@@ -178,7 +175,6 @@ def learn(train: TrainingSet, d0: np.ndarray, cfg: DictLearnConfig,
 
         d = dict_update(d, a, train, cfg)
         trace.after_dict.append(_total_objective(d, a, projector, code.regularizer))
-        trace.outer_iters += 1
 
     unused = np.flatnonzero(~np.any(a != 0.0, axis=1))
     if unused.size:

@@ -56,6 +56,7 @@ from .solvers import (
 
 __all__ = [
     "SolveParams",
+    "distortion",
     "run_synth",
     "run_audio",
     "frame_observations",
@@ -65,7 +66,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-AUDIO_TASKS = ("declip", "dequant", "onebit")
+AUDIO_TASKS = {"declip": "clip", "dequant": "quant", "onebit": "onebit"}  # task -> kind
 METHODS = ("fixed", "adaptive", "iht", "baseline")
 
 
@@ -80,6 +81,30 @@ class SolveParams:
     k: int = 32
     outer_iters: int = 50
     inner_iters: int = 20
+
+
+def distortion(kind: str, level=None) -> tuple[Optional[MeasurementModel], str]:
+    """The measurement model of a distortion kind at a level, and its CSV row tag.
+
+    clip: the symmetric clip at theta = level > 0, or for level None a clip
+    detected from the input (model None, tag clip:detected); quant: the
+    uniform quantizer of level bits; onebit (signs) and none (Identity)
+    ignore the level.
+    """
+    if kind == "clip":
+        if level is None:
+            return None, "clip:detected"
+        theta = float(level)
+        if not theta > 0:
+            raise ValueError(f"clip level must be positive, got {theta}")
+        return Clip(theta, -theta), f"clip:{theta:g}"
+    if kind == "quant":
+        if level is None:
+            raise ValueError("a quant distortion needs a bit depth")
+        return uniform_quantizer_for_bits(int(level)), f"quant:{int(level)}"
+    if kind not in ("onebit", "none"):
+        raise ValueError(f"unknown distortion {kind!r}")
+    return (OneBit(), "onebit") if kind == "onebit" else (Identity(), "none")
 
 
 def _quant_delta(model) -> float:
@@ -176,7 +201,7 @@ def check_methods(methods: Sequence[str], learn: bool = False) -> None:
         raise ValueError("dictionary learning is only wired to the iht coder")
 
 
-def run_synth(spec: SyntheticSpec, distortion: str, levels: Sequence,
+def run_synth(spec: SyntheticSpec, kind: str, levels: Sequence,
               methods: Sequence[str], params: SolveParams, seed: int):
     """Distortion sweep over a synthetic ensemble.
 
@@ -186,27 +211,15 @@ def run_synth(spec: SyntheticSpec, distortion: str, levels: Sequence,
     (rows, per_signal) where rows hold the mean SNR per (level, method) and
     per_signal maps (level, method) to the individual SNR values.
     """
-    if distortion not in ("clip", "quant"):
-        raise ValueError(f"unknown distortion {distortion!r}")
+    if kind not in ("clip", "quant"):
+        raise ValueError(f"unknown distortion {kind!r}")
     check_methods(methods)
     d, _, signals = gen_synthetic(replace(spec, seed=seed))
     if not levels:
         return [], {}
-    tags: List[str] = []
-    observations: List[Observation] = []
-    for level in levels:
-        if distortion == "clip":
-            theta = float(level)
-            if not theta > 0:
-                raise ValueError(f"clip level must be positive, got {theta}")
-            model = Clip(theta, -theta)
-            tags.append(f"clip:{theta:g}")
-        else:
-            bits = int(level)
-            model = uniform_quantizer_for_bits(bits)
-            tags.append(f"quant:{bits}")
-        observations += [apply_measurement(model, x) for x in signals.T]
-    task = "declip" if distortion == "clip" else "dequant"
+    models, tags = zip(*(distortion(kind, level) for level in levels))
+    observations = [apply_measurement(model, x) for model in models for x in signals.T]
+    task = "declip" if kind == "clip" else "dequant"
     truth = np.tile(signals, len(levels))
     snrs, runtimes = {}, {}
     joint = [m for m in methods if m in ("adaptive", "baseline")]
@@ -290,69 +303,60 @@ def learn_dictionary(d, observations, params: SolveParams):
 @dataclass
 class AudioResult:
     estimate: np.ndarray          # reconstruction in the unit-peak domain
+    distortion: str               # the CSV row tag, as from distortion()
     method: str
     runtime_s: float
     snr_db: Optional[float] = None
 
 
 def run_audio(task: str, samples: np.ndarray, frame_spec: FrameSpec,
-              params: SolveParams, *, theta: Optional[float] = None,
-              bits: Optional[int] = None, detect: bool = False,
-              method: str = "iht", learn_dict: bool = False,
+              params: SolveParams, methods: Sequence[str] = ("iht",), *,
+              level=None, learn_dict: bool = False,
               dictionary: Optional[np.ndarray] = None,
-              reference: Optional[np.ndarray] = None) -> AudioResult:
-    """Frame-based recovery of one distorted signal.
+              reference: Optional[np.ndarray] = None) -> List[AudioResult]:
+    """Frame-based recovery of one distorted signal; one result per method.
 
-    ``samples`` is normalized to unit peak, distorted (or, with detect=True
-    for declipping, taken as already distorted), framed, solved per frame,
-    and rebuilt by overlap-add.  The returned estimate lives in the input's
-    unit-peak domain.  When a reference is given, the summary SNR is
-    computed against the reference rescaled by the input's peak (angular
-    SNR for 1-bit data).
+    ``samples`` is normalized to unit peak, distorted at ``level`` (see
+    distortion(); for declip, None takes the input as already clipped),
+    framed once for every method, solved per frame and rebuilt by
+    overlap-add.  A result's runtime covers this shared set-up plus its own
+    method's recovery, and its estimate lives in the input's unit-peak
+    domain.  When a reference is given, the summary SNR is computed against
+    the reference rescaled by the input's peak (angular SNR for 1-bit data).
     """
     if task not in AUDIO_TASKS:
         raise ValueError(f"unknown task {task!r}")
-    check_methods([method], learn_dict)
+    check_methods(methods, learn_dict)
     t0 = time.perf_counter()
-    if task == "declip" and detect:
-        model = None
-    elif task == "declip":
-        if theta is None:
-            raise ValueError("declip needs a clip level theta (or detect=True)")
-        model = Clip(theta, -theta)
-    elif task == "dequant":
-        if bits is None:
-            raise ValueError("dequant needs a bit depth")
-        model = uniform_quantizer_for_bits(bits)
-    else:
-        model = OneBit()
+    model, tag = distortion(AUDIO_TASKS[task], level)
     observations, peak = frame_observations(samples, frame_spec, model)
     if dictionary is None:
         dictionary = dct_dictionary(frame_spec.frame_len, 2 * frame_spec.frame_len)
-    d = dictionary
-
-    label = method + ("+learn" if learn_dict and method != "baseline" else "")
-    if method == "baseline":
-        # IHT from zero on the classical substitutes
-        observations, stop = _baseline_observations(observations, task)
-        codes = _solve(d, observations, "iht", params, stop=stop)
-    elif learn_dict and method == "iht":
-        d, codes, _ = learn_dictionary(d, observations, params)
-    else:
-        codes = _solve(d, observations, method, params,
-                       classical_start=method == "iht" or task == "onebit")
-    out_len = len(samples)
-    estimate = overlap_add(_estimate(d, codes, observations, method in ("iht", "baseline")),
-                           frame_spec, out_len)
-    runtime = time.perf_counter() - t0
-
-    snr = None
     if reference is not None:
-        ref = np.asarray(reference, dtype=float)
-        if ref.shape[0] != out_len:
+        if np.shape(reference)[0] != len(samples):
             raise ValueError("reference length does not match the input")
         # scale the reference like the input so the comparison is meaningful
         # even when the input was clipped before it reached us (detect mode)
-        ref = ref / peak
-        snr = angular_snr_db(estimate, ref) if task == "onebit" else snr_db(estimate, ref)
-    return AudioResult(estimate, label, runtime, snr)
+        reference = np.asarray(reference, dtype=float) / peak
+    setup = time.perf_counter() - t0
+
+    results = []
+    for method in methods:
+        t0 = time.perf_counter()
+        d, obs = dictionary, observations
+        if method == "baseline":  # IHT from zero on the classical substitutes
+            obs, stop = _baseline_observations(observations, task)
+            codes = _solve(d, obs, "iht", params, stop=stop)
+        elif learn_dict:  # the iht coder, as check_methods allows
+            d, codes, _ = learn_dictionary(d, obs, params)
+        else:
+            codes = _solve(d, obs, method, params,
+                           classical_start=method == "iht" or task == "onebit")
+        estimate = overlap_add(_estimate(d, codes, obs, method in ("iht", "baseline")),
+                               frame_spec, len(samples))
+        runtime = setup + time.perf_counter() - t0
+        snr = None if reference is None else (
+            angular_snr_db if task == "onebit" else snr_db)(estimate, reference)
+        label = method + ("+learn" if learn_dict and method != "baseline" else "")
+        results.append(AudioResult(estimate, tag, label, runtime, snr))
+    return results

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -436,7 +435,7 @@ class _Projection(partial):
     """project((N, T)) for a batch: func on bound arguments whose arrays hold
     one column (last axis) per observation; columns(cols) keeps columns cols."""
 
-    project = partial.__call__  # a projection also serves where a projector goes
+    project = partial.__call__  # an instance may rebind it, as a tracer does
 
     def columns(self, cols):
         return type(self)(self.func, *(x[..., cols] if isinstance(x, np.ndarray) else x
@@ -449,7 +448,7 @@ def _project_each(observations, z):
 
 
 def batch_projector(observations: Sequence[Observation]):
-    """Build a projector with ``project((N, T)) -> (N, T)`` for a batch, and
+    """The projector of a batch: ``project((N, T)) -> (N, T)``, and
     ``columns(cols)``, the projector of the batch's columns cols."""
     obs = list(observations)
     if not obs:
@@ -460,14 +459,12 @@ def batch_projector(observations: Sequence[Observation]):
                          "separable (interval) ones")
     if not isinstance(first.model, GeneralLinear):
         intervals = [o.intervals() for o in obs]
-        projection = _Projection(_clamp, np.stack([iv.lower for iv in intervals], axis=1),
-                                 np.stack([iv.upper for iv in intervals], axis=1))
-    elif all(o.model is first.model for o in obs):
+        return _Projection(_clamp, np.stack([iv.lower for iv in intervals], axis=1),
+                           np.stack([iv.upper for iv in intervals], axis=1))
+    if all(o.model is first.model for o in obs):
         y = np.stack([o.values for o in obs], axis=1)
-        projection = _Projection(project_linear, first.model, y, _cache=first._cache)
-    else:
-        projection = _Projection(_project_each, np.array(obs, dtype=object))
-    return SimpleNamespace(project=projection, columns=projection.columns)
+        return _Projection(project_linear, first.model, y, _cache=first._cache)
+    return _Projection(_project_each, np.array(obs, dtype=object))
 
 
 def _project_onto_feasibility(obs: Observation, x) -> np.ndarray:

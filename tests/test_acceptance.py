@@ -275,16 +275,16 @@ def test_acceptance_08_audio_dictionary_learning(bundled_signal):
     fs = FrameSpec(256, 0.75)
     params = SolveParams(iters=50, k=32, outer_iters=50, inner_iters=20)
     t0 = time.perf_counter()
-    learned = run_audio("declip", x, fs, params, theta=0.2, method="iht",
-                        learn_dict=True, reference=x).snr_db
-    coded = run_audio("declip", x, fs, params, theta=0.2, method="iht",
-                      reference=x).snr_db
-    classical = run_audio("declip", x, fs, params, theta=0.2,
-                          method="baseline", reference=x).snr_db
-    cons_full = run_audio("declip", x, fs, params, theta=1.0, method="iht",
-                          reference=x).snr_db
-    base_full = run_audio("declip", x, fs, params, theta=1.0,
-                          method="baseline", reference=x).snr_db
+    learned = run_audio("declip", x, fs, params, ["iht"], level=0.2,
+                        learn_dict=True, reference=x)[0].snr_db
+    coded = run_audio("declip", x, fs, params, ["iht"], level=0.2,
+                      reference=x)[0].snr_db
+    classical = run_audio("declip", x, fs, params, ["baseline"], level=0.2,
+                          reference=x)[0].snr_db
+    cons_full = run_audio("declip", x, fs, params, ["iht"], level=1.0,
+                          reference=x)[0].snr_db
+    base_full = run_audio("declip", x, fs, params, ["baseline"], level=1.0,
+                          reference=x)[0].snr_db
     elapsed = time.perf_counter() - t0
     gap = abs(cons_full - base_full)
     ok = (learned >= coded >= classical and gap <= 0.1 and elapsed < 300.0)
@@ -298,9 +298,9 @@ def test_acceptance_09_one_bit_ordering(bundled_signal):
     x = bundled_signal
     fs = FrameSpec(256, 0.75)
     params = SolveParams(iters=50, k=32, outer_iters=50, inner_iters=20)
-    learned = run_audio("onebit", x, fs, params, method="iht", learn_dict=True,
-                        reference=x).snr_db
-    coded = run_audio("onebit", x, fs, params, method="iht", reference=x).snr_db
+    learned = run_audio("onebit", x, fs, params, ["iht"], learn_dict=True,
+                        reference=x)[0].snr_db
+    coded = run_audio("onebit", x, fs, params, ["iht"], reference=x)[0].snr_db
     ok = learned >= coded
     assert _report("  9", ok, f"angular SNR: learned {learned:.4f} >= "
                               f"fixed-dict {coded:.4f} dB")

@@ -246,6 +246,7 @@ class TestErrors:
     @pytest.mark.parametrize("config, shown", [
         (None, "missing.cfg"),
         ("iters=abc\n", "invalid literal for int() with base 10: 'abc'"),
+        ("iters=abc\n", "missing.cfg: iters=abc"),
         ("stdout=maybe\n", "not a boolean: 'maybe'"),
     ])
     def test_bad_config(self, tmp_path, capsys, config, shown):
@@ -258,6 +259,18 @@ class TestErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and shown in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("level", ["-0.2", "0"])
+    @pytest.mark.parametrize("command", [["synth", "--count", "2"], ["declip", "VOICE"],
+                                         ["learn-dict", "VOICE", "--distortion", "clip"]])
+    def test_clip_level_must_be_positive(self, voice_wav, tmp_path, capsys, command, level):
+        # one check of the clip level serves every command
+        args = [voice_wav if a == "VOICE" else a for a in command]
+        rc = main(args + [f"--theta={level}", "--out", str(tmp_path / "o.out")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: clip level must be positive, got {float(level)}"]
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", [["declip", "--theta", "0.2,0.4"],
                                          ["dequant", "--bits", "3,4"]])

@@ -209,7 +209,7 @@ class TestLearn:
         d, codes, trace = learn(train, d0, cfg)
         assert np.array_equal(d, d0)
         assert np.all(codes == 0.0)
-        assert trace.outer_iters == 0
+        assert len(trace.after_dict) == 0
 
     def test_learning_beats_fixed_dictionary_objective(self):
         rng = np.random.default_rng(7)
@@ -259,7 +259,7 @@ class TestLearn:
                               outer_iters=10, inner_dict_iters=20)
         d, codes, trace = learn(train, dct_dictionary(8, 12), cfg)
         seq = []
-        for i in range(trace.outer_iters):
+        for i in range(len(trace.after_dict)):
             seq += [trace.after_coding[i], trace.after_dict[i]]
         assert np.all(np.diff(seq) <= 1e-9)
         assert np.all(np.linalg.norm(d, axis=0) <= 1.0 + 1e-12)
@@ -309,7 +309,7 @@ class TestLearn:
         cfg = DictLearnConfig(inner_code=SolverConfig(L1(1e-2), max_iters=5),
                               outer_iters=4, inner_dict_iters=2)
         _, _, trace = learn(train, dct_dictionary(8, 12), cfg)
-        assert trace.outer_iters == 4
+        assert len(trace.after_dict) == 4
         assert builds == [len(train)]
 
     def test_initial_dictionary_validated(self):

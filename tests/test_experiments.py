@@ -7,6 +7,7 @@ from nlcs.experiments import (
     _baseline_observations,
     _classical_init,
     _estimate,
+    distortion,
     run_audio,
     run_synth,
 )
@@ -176,31 +177,52 @@ class TestRunSynth:
                       SolveParams(), seed=0)
 
 
+class TestDistortion:
+    @pytest.mark.parametrize("kind, level, model, tag", [
+        ("clip", 0.25, Clip(0.25, -0.25), "clip:0.25"),
+        ("clip", None, None, "clip:detected"),
+        ("quant", 3, uniform_quantizer_for_bits(3), "quant:3"),
+        ("onebit", None, OneBit(), "onebit"),
+        ("none", None, Identity(), "none"),
+    ])
+    def test_model_and_tag(self, kind, level, model, tag):
+        assert repr(distortion(kind, level)) == repr((model, tag))  # models hold arrays
+
+    @pytest.mark.parametrize("kind, level, message", [
+        ("clip", -0.2, "clip level must be positive, got -0.2"),
+        ("clip", 0, "clip level must be positive, got 0.0"),
+        ("quant", None, "a quant distortion needs a bit depth"),
+        ("blur", None, "unknown distortion 'blur'"),
+    ])
+    def test_bad_level_rejected(self, kind, level, message):
+        with pytest.raises(ValueError, match=message):
+            distortion(kind, level)
+
+
 class TestRunAudio:
     def test_full_clip_level_baseline_equivalence(self, short_signal):
         # nothing is flagged clipped at the full level, so the consistent
         # and inpainting problems coincide sample for sample
         fs = FrameSpec(256, 0.75)
-        cons = run_audio("declip", short_signal, fs, PARAMS_SMALL, theta=1.0,
-                         method="iht", reference=short_signal)
-        base = run_audio("declip", short_signal, fs, PARAMS_SMALL, theta=1.0,
-                         method="baseline", reference=short_signal)
+        cons = run_audio("declip", short_signal, fs, PARAMS_SMALL, ["iht"], level=1.0,
+                         reference=short_signal)[0]
+        base = run_audio("declip", short_signal, fs, PARAMS_SMALL, ["baseline"], level=1.0,
+                         reference=short_signal)[0]
         assert np.array_equal(cons.estimate, base.estimate)
         assert cons.snr_db == base.snr_db
 
     def test_estimate_length_and_domain(self, short_signal):
         fs = FrameSpec(256, 0.75)
-        res = run_audio("declip", short_signal, fs, PARAMS_SMALL, theta=0.3,
-                        method="iht")
+        res = run_audio("declip", short_signal, fs, PARAMS_SMALL, ["iht"], level=0.3)[0]
         assert res.estimate.shape == short_signal.shape
         assert res.snr_db is None  # no reference given
 
     def test_onebit_scores_angular(self, short_signal):
         fs = FrameSpec(256, 0.75)
-        res = run_audio("onebit", short_signal, fs, PARAMS_SMALL,
-                        method="iht", reference=short_signal)
-        scaled = run_audio("onebit", 0.25 * short_signal, fs, PARAMS_SMALL,
-                           method="iht", reference=short_signal)
+        res = run_audio("onebit", short_signal, fs, PARAMS_SMALL, ["iht"],
+                        reference=short_signal)[0]
+        scaled = run_audio("onebit", 0.25 * short_signal, fs, PARAMS_SMALL, ["iht"],
+                           reference=short_signal)[0]
         # unit-peak normalization makes the whole pipeline scale-free
         assert res.snr_db == pytest.approx(scaled.snr_db)
 
@@ -209,8 +231,8 @@ class TestRunAudio:
 
         fs = FrameSpec(256, 0.75)
         clipped = np.clip(short_signal, -0.3, 0.3)
-        detected = run_audio("declip", clipped, fs, PARAMS_SMALL, detect=True,
-                             reference=short_signal)
+        detected = run_audio("declip", clipped, fs, PARAMS_SMALL, ["iht"], level=None,
+                             reference=short_signal)[0]
         peak = np.abs(clipped).max()
         untouched = snr_db(clipped / peak, short_signal / peak)
         assert detected.snr_db > untouched
@@ -226,14 +248,32 @@ class TestRunAudio:
         norm = nlcs.solvers.spectral_norm
         monkeypatch.setattr(nlcs.solvers, "spectral_norm",
                             lambda a: calls.append(a.shape) or norm(a))
-        run_audio(task, short_signal[:2048], FrameSpec(64, 0.5), PARAMS_SMALL,
-                  theta=0.3, bits=3, method=method)
+        run_audio(task, short_signal[:2048], FrameSpec(64, 0.5), PARAMS_SMALL, [method],
+                  level={"declip": 0.3, "dequant": 3}.get(task))
         assert calls == [(64, 128)]
+
+    def test_one_framing_serves_every_method(self, short_signal, monkeypatch):
+        # the input is measured and framed once per call, and each method's
+        # estimate is the one it gets when run alone
+        import nlcs.experiments
+
+        calls = []
+        frame = nlcs.experiments.frame_observations
+        monkeypatch.setattr(nlcs.experiments, "frame_observations",
+                            lambda *a: calls.append(a[2]) or frame(*a))
+        fs = FrameSpec(256, 0.75)
+        methods = ["iht", "fixed", "baseline"]
+        results = run_audio("declip", short_signal, fs, PARAMS_SMALL, methods, level=0.3)
+        assert len(calls) == 1
+        for method, res in zip(methods, results, strict=True):
+            alone = run_audio("declip", short_signal, fs, PARAMS_SMALL, [method], level=0.3)
+            assert (res.distortion, res.method) == ("clip:0.3", method)
+            assert np.array_equal(res.estimate, alone[0].estimate)
 
     def test_reference_length_checked(self, short_signal):
         fs = FrameSpec(256, 0.75)
         with pytest.raises(ValueError):
-            run_audio("declip", short_signal, fs, PARAMS_SMALL, theta=0.3,
+            run_audio("declip", short_signal, fs, PARAMS_SMALL, ["iht"], level=0.3,
                       reference=short_signal[:-1])
 
 

@@ -589,17 +589,17 @@ class TestTopKSynthesis:
         return d, observations
 
     def _descend_both(self, monkeypatch, d, observations, a0, cfg):
-        project = batch_projector(observations).project
+        projector = batch_projector(observations)
         mu = _resolve_step(d)
         calls = []
         with monkeypatch.context() as mp:
             mp.setattr(nlcs.solvers, "_synth_used",
                        lambda d, a: calls.append(1) or _synth_used(d, a))
-            got = _descend(d, project, a0.copy(), cfg, mu)
+            got = _descend(d, projector, a0.copy(), cfg, mu)
         assert len(calls) == len(got[1])  # the start and every iteration
         with monkeypatch.context() as mp:
             mp.setattr(nlcs.solvers, "_synth_used", _dense)
-            want = _descend(d, project, a0.copy(), cfg, mu)
+            want = _descend(d, projector, a0.copy(), cfg, mu)
         return got, want
 
     @pytest.mark.parametrize("family", ["clip", "quant", "identity", "onebit"])
