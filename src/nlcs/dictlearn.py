@@ -142,13 +142,6 @@ def dict_update(d: np.ndarray, codes, train: TrainingSet, cfg: DictLearnConfig
     return d
 
 
-def _total_objective(d: np.ndarray, a: np.ndarray, projector, reg) -> float:
-    """Summed data cost of the codes a plus reg's penalty."""
-    z = _synth_used(d, a) if isinstance(reg, L0) else d @ a
-    r = z - projector.project(z)
-    return 0.5 * float(np.sum(r * r)) + float(np.sum(_penalty(reg, a)))
-
-
 def learn(train: TrainingSet, d0: np.ndarray, cfg: DictLearnConfig,
           init_codes=None) -> tuple[np.ndarray, np.ndarray, LearnTrace]:
     """Alternating consistent sparse coding and dictionary updates.
@@ -168,13 +161,16 @@ def learn(train: TrainingSet, d0: np.ndarray, cfg: DictLearnConfig,
         a = _as_code_matrix(init_codes, d.shape[1], len(train)).copy()
 
     projector, code = train.projector, cfg.inner_code
+    reg, synth = code.regularizer, _synth_used if isinstance(code.regularizer, L0) else np.matmul
     trace = LearnTrace()
     for _ in range(cfg.outer_iters):
-        a = _descend(d, projector, a, code, _resolve_step(d, code.step))[0]
-        trace.after_coding.append(_total_objective(d, a, projector, code.regularizer))
+        a, totals = _descend(d, projector, a, code, _resolve_step(d, code.step))[:2]
+        trace.after_coding.append(float(totals[-1]))  # the kernel's objective of the codes
 
         d = dict_update(d, a, train, cfg)
-        trace.after_dict.append(_total_objective(d, a, projector, code.regularizer))
+        z = synth(d, a)
+        r = z - projector.project(z)
+        trace.after_dict.append(0.5 * float(np.sum(r * r)) + float(np.sum(_penalty(reg, a))))
 
     unused = np.flatnonzero(~np.any(a != 0.0, axis=1))
     if unused.size:

@@ -62,22 +62,54 @@ def prox_l1(v: np.ndarray, threshold: float) -> np.ndarray:
     return np.copysign(np.maximum(out, 0.0, out=out), v, out=out)
 
 
-def prox_l0_topk(v: np.ndarray, sparsity: int) -> np.ndarray:
+def prox_l0_topk(v: np.ndarray, sparsity: int, support: np.ndarray | None = None) -> np.ndarray:
     """Keep the ``sparsity`` largest-magnitude entries of v, zero the rest.
 
     v is (M,) or (M, T); for (M, T) every column is treated on its own.
     Magnitude ties are broken in favour of the lowest index, and NaN entries
     rank below every number, so they are kept only when a column has fewer
-    than ``sparsity`` numbers.  The k-th largest magnitude comes from
-    ``np.partition``: O(M) per column on average, against O(M log M) for a
-    sort, plus an O(M) scan of the tied entries when some column has more
-    ties at that magnitude than free slots.
+    than ``sparsity`` numbers.  The selection takes the k-th largest magnitude
+    from ``np.partition`` (O(M) per column on average, against O(M log M) for
+    a sort), then scans the ties when a column has more than free slots.
+
+    ``support`` (integer, shape (sparsity,) + v.shape[1:], k distinct rows per
+    column, such as the last call's) is a candidate and returns holding the
+    rows kept.  A column whose smallest candidate magnitude is strictly greater
+    than its largest outside keeps the candidate with no selection: it is then
+    the unique top-k, so no tie or NaN rule applies and the result is bit for
+    bit the same.  Other columns (ties, NaN, zeros, a moved support) are selected.
     """
     v = np.asarray(v, dtype=float)
+    if v.ndim not in (1, 2):
+        raise ValueError(f"prox_l0_topk expects a 1-d or 2-d array, got {v.ndim}-d")
     if not 1 <= sparsity <= v.shape[0]:
-        raise ValueError(
-            f"sparsity must be in [1, {v.shape[0]}], got {sparsity}"
-        )
+        raise ValueError(f"sparsity must be in [1, {v.shape[0]}], got {sparsity}")
+    if support is None:
+        return np.where(_topk_keep(v, sparsity), v, 0.0)
+    want = (sparsity,) + v.shape[1:]
+    if not (isinstance(support, np.ndarray) and support.dtype.kind in "iu"
+            and support.shape == want):
+        raise ValueError(f"support must be an integer array of shape {want}")
+    s = np.sort(support, axis=0)  # distinct rows in range
+    if not ((s[0] >= 0).all() and (s[-1] < v.shape[0]).all() and (s[1:] != s[:-1]).all()):
+        raise ValueError(f"support must hold distinct rows in [0, {v.shape[0]}) per column")
+    v2, rows = v.reshape(v.shape[0], -1), support.reshape(sparsity, -1)  # views
+    cols = np.arange(v2.shape[1])
+    mag = np.abs(v2)
+    low = np.minimum.reduce(mag[rows, cols], axis=0)
+    mag[rows, cols] = -np.inf
+    redo = np.flatnonzero(~(low > np.maximum.reduce(mag, axis=0)))  # NaN fails too
+    del mag, s  # free them before the selection and the output
+    if redo.size:
+        keep = _topk_keep(v2 if redo.size == cols.size else v2[:, redo], sparsity)
+        rows[:, redo] = np.nonzero(keep.T)[1].reshape(-1, sparsity).T
+    out = np.zeros(v2.shape)
+    out[rows, cols] = v2[rows, cols]
+    return out.reshape(v.shape)
+
+
+def _topk_keep(v: np.ndarray, sparsity: int) -> np.ndarray:
+    """Mask of the selection: the ``sparsity`` largest magnitudes per column."""
     # partition -|v| so NaN, which partition puts last, ranks as smallest
     mag = np.abs(v)
     np.negative(mag, out=mag)
@@ -96,4 +128,4 @@ def prox_l0_topk(v: np.ndarray, sparsity: int) -> np.ndarray:
     if np.any(ties.sum(axis=0) > free):
         ties &= np.cumsum(ties, axis=0) <= free
     keep |= ties
-    return np.where(keep, v, 0.0)
+    return keep

@@ -21,7 +21,8 @@ Signals do not interact once D is fixed, so every coder runs one kernel on
 (M, T) code matrices, one column per signal and feasibility set: each column
 runs its own schedule and epsilon, and leaves the batch when it is done.
 Top-K codes synthesize D a from the atoms in use; the gradient stays
-dense, as the next support needs every atom's correlation.
+dense, as the next support needs every atom's correlation.  Top-K reuses
+the last support where it still holds.
 """
 
 from __future__ import annotations
@@ -247,6 +248,7 @@ def _descend(d: np.ndarray, projector, a: np.ndarray, cfg: SolverConfig,
         0.0, 0.0, np.arange(t_count)), dtype=float)
     decay, log = homotopy or (None, None)
     stop_each_iteration = stop_consistency is not None and log is None
+    rows = np.tile(np.arange(getattr(reg, "k", 0))[:, None], t_count)  # top-K's candidate rows
     if isinstance(reg, L1):
         synth = np.matmul
 
@@ -259,7 +261,7 @@ def _descend(d: np.ndarray, projector, a: np.ndarray, cfg: SolverConfig,
         synth = _synth_used
 
         def prox(g):
-            return prox_l0_topk(g, reg.k)
+            return prox_l0_topk(g, reg.k, rows)  # rows becomes the rows kept
 
         def penalized(data, a):  # the constraint carries no penalty
             return data
@@ -292,7 +294,7 @@ def _descend(d: np.ndarray, projector, a: np.ndarray, cfg: SolverConfig,
                     return out, np.array(totals), stopped, final
                 frozen += float(add(f[ended]))
                 keep = (~ended).nonzero()[0]
-                a, r, f, data, sched = (x[..., keep] for x in (a, r, f, data, sched))
+                a, r, f, data, sched, rows = (x[..., keep] for x in (a, r, f, data, sched, rows))
                 lam, stop, stage, begin, cols = sched
                 projector = projector.columns(keep)
             threshold, cap_at = lam * mu, np.minimum.reduce(begin) + cfg.max_iters

@@ -59,3 +59,8 @@ def random_sparse_problem(family, rng, n=16, m=32, k=3):
     alpha = alpha / peak
     model = random_model(family, rng, n)
     return d, alpha, x, apply_measurement(model, x)
+
+
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()  # also tells -0.0 from 0.0 and NaN apart

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+import nlcs.linops
+from conftest import assert_bitwise_equal
 from nlcs.linops import dct_dictionary, prox_l0_topk, prox_l1, spectral_norm
 
 
@@ -205,11 +207,6 @@ def topk_by_stable_sort(v, k):
     return out
 
 
-def assert_bitwise_equal(a, b):
-    assert a.shape == b.shape and a.dtype == b.dtype
-    assert a.tobytes() == b.tobytes()  # also tells -0.0 from 0.0 and NaN apart
-
-
 class TestProxL0TopK:
     def test_magnitude_ranking(self):
         out = prox_l0_topk(np.array([3.0, -1.0, 2.0]), 2)
@@ -280,3 +277,115 @@ class TestProxL0TopK:
             for t in range(v.shape[1]):
                 assert_bitwise_equal(prox_l0_topk(v[:, t], k),
                                      topk_by_stable_sort(v[:, t], k))
+
+    @pytest.mark.parametrize("v", [np.float64(1.0), 2.0, np.ones((3, 2, 2))])
+    def test_rejects_anything_but_1d_or_2d(self, v):
+        with pytest.raises(ValueError, match="1-d or 2-d"):
+            prox_l0_topk(v, 1)
+
+
+def kept_rows(v, k):
+    """The rows topk_by_stable_sort keeps, ascending per column."""
+    return np.sort(np.argsort(-np.abs(v), axis=0, kind="stable")[:k], axis=0)
+
+
+def candidates(v, k, rng):
+    """Candidate supports for v: the true one, a stale one (true for another
+    array), the true one shifted by one row, and rows 0..k-1."""
+    m = v.shape[0]
+    true = kept_rows(v, k)
+    stale = kept_rows(v + rng.standard_normal(v.shape), k)
+    first = np.broadcast_to(np.arange(k).reshape((k,) + (1,) * (v.ndim - 1)), true.shape)
+    return {"true": true, "stale": stale, "shifted": (true + 1) % m, "first": first}
+
+
+class TestProxL0TopKSupport:
+    """A candidate support never changes the result: it is bitwise equal to
+    the stable-sort reference, and the support comes back as the kept rows."""
+
+    def check(self, v, k, rng):
+        want = topk_by_stable_sort(v, k)
+        for name, cand in candidates(v, k, rng).items():
+            support = np.array(cand)
+            assert_bitwise_equal(prox_l0_topk(v, k, support), want)
+            assert np.array_equal(np.sort(support, axis=0), kept_rows(v, k)), name
+            # the kept rows as the next call's candidate: nothing moves
+            assert_bitwise_equal(prox_l0_topk(v, k, support), want)
+
+    @pytest.mark.parametrize("shape", [(7,), (9, 5), (16, 3)])
+    def test_integer_values_with_ties(self, shape):
+        rng = np.random.default_rng(30)
+        for _ in range(10):
+            v = rng.integers(-3, 4, size=shape).astype(float)
+            for k in range(1, shape[0] + 1):
+                self.check(v, k, rng)
+
+    def test_nan_columns_short_of_k_numbers(self):
+        v = np.array([[np.nan, 1.0, np.nan, np.nan, 4.0],
+                      [2.0, np.nan, np.nan, -0.0, 3.0],
+                      [-2.0, 3.0, np.nan, np.nan, 2.0],
+                      [np.nan, -1.0, 5.0, 1.0, 1.0]])
+        rng = np.random.default_rng(31)
+        for k in range(1, 5):
+            self.check(v, k, rng)
+            self.check(v[:, 1], k, rng)
+
+    def test_infinities(self):
+        rng = np.random.default_rng(32)
+        v = rng.standard_normal((10, 6))
+        v[2, :3] = np.inf
+        v[7, 1:4] = -np.inf
+        v[:, 5] = np.inf
+        for k in (1, 2, 3, 10):
+            self.check(v, k, rng)
+
+    def test_negative_zero_and_zero_columns(self):
+        rng = np.random.default_rng(33)
+        v = rng.integers(-2, 3, size=(8, 6)).astype(float)
+        v[:, 0] = 0.0
+        v[:, 1] = -0.0
+        v[rng.random(v.shape) < 0.3] = -0.0
+        for k in range(1, 9):
+            self.check(v, k, rng)
+
+    def test_k_equals_m(self):
+        rng = np.random.default_rng(34)
+        v = rng.standard_normal((6, 4))
+        v[0, 1] = np.nan
+        v[:, 2] = 0.0
+        self.check(v, 6, rng)
+        self.check(v[:, 0], 6, rng)
+
+    def test_a_separated_candidate_skips_the_selection(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        v = rng.standard_normal((64, 5))
+        support = kept_rows(v, 8)
+        selected = []
+        full = nlcs.linops._topk_keep
+        monkeypatch.setattr(nlcs.linops, "_topk_keep",
+                            lambda u, k: selected.append(u.shape) or full(u, k))
+        assert_bitwise_equal(prox_l0_topk(v, 8, support), topk_by_stable_sort(v, 8))
+        assert selected == []
+        v[support[0, 3], 3] = 0.0  # column 3 loses a row of its candidate
+        assert_bitwise_equal(prox_l0_topk(v, 8, support), topk_by_stable_sort(v, 8))
+        assert selected == [(64, 1)]
+        assert np.array_equal(np.sort(support, axis=0), kept_rows(v, 8))
+
+    @pytest.mark.parametrize("support, match", [
+        (np.zeros((2, 3), dtype=int), "shape"),            # (k, T) needs T = 4
+        (np.zeros((3, 4), dtype=int), "shape"),            # k + 1 rows
+        (np.array([[0, 1, 2, 3], [1, 2, 3, 4]]).tolist(), "integer array"),
+        (np.array([[0.0, 1, 2, 3], [1, 2, 3, 4]]), "integer array"),
+        (np.array([[0, 1, 2, 3], [1, 2, 3, 4]], dtype=bool), "integer array"),
+        (np.array([[0, 1, 2, 3], [1, 2, 3, 5]]), r"distinct rows in \[0, 5\)"),
+        (np.array([[0, 1, 2, 3], [1, 2, 3, -1]]), r"distinct rows in \[0, 5\)"),
+        (np.array([[0, 1, 2, 3], [1, 2, 2, 4]]), r"distinct rows in \[0, 5\)"),
+    ])
+    def test_rejects_bad_support(self, support, match):
+        v = np.arange(20.0).reshape(5, 4)
+        with pytest.raises(ValueError, match=match):
+            prox_l0_topk(v, 2, support)
+
+    def test_rejects_a_2d_support_for_a_1d_input(self):
+        with pytest.raises(ValueError, match="shape"):
+            prox_l0_topk(np.arange(5.0), 2, np.array([[0], [1]]))

@@ -3,8 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import nlcs.linops
 import nlcs.solvers
-from conftest import FAMILIES, random_model, random_observation, random_sparse_problem
+from conftest import (
+    FAMILIES,
+    assert_bitwise_equal,
+    random_model,
+    random_observation,
+    random_sparse_problem,
+)
+from nlcs.dictlearn import DictLearnConfig, TrainingSet, learn
 from nlcs.linops import dct_dictionary, prox_l0_topk, spectral_norm
 from nlcs.measurements import (
     Clip,
@@ -16,6 +24,7 @@ from nlcs.measurements import (
     feasibility_intervals,
     project,
 )
+from nlcs.pipeline import uniform_quantizer_for_bits
 from nlcs.solvers import (
     L0,
     L1,
@@ -665,3 +674,86 @@ class TestTopKSynthesis:
         sparse_code_fixed(d, observations, a0, SolverConfig(L1(1e-2), max_iters=40))
         sparse_code_adaptive(d, observations, a0,
                              HomotopyConfig(SolverConfig(L1(1e-2), max_iters=40)))
+
+
+def _full_selection(g, k, rows):
+    """The top-K prox with its candidate ignored: every column is selected."""
+    return prox_l0_topk(g, k)
+
+
+class _CountingProjector:
+    """A batch projector that records the batch width each time columns leave."""
+
+    def __init__(self, projector, widths):
+        self.projector, self.widths = projector, widths
+
+    def project(self, z):
+        return self.projector.project(z)
+
+    def columns(self, keep):
+        self.widths.append(len(keep))
+        return _CountingProjector(self.projector.columns(keep), self.widths)
+
+
+class TestWarmTopKSupport:
+    """The kernel hands top-K the last iteration's kept rows; a run forced
+    through the full selection is the reference, bit for bit."""
+
+    def _problem(self, rng, model, n=32, m=128, t=24, k=4):
+        d = rng.standard_normal((n, m))
+        d /= np.linalg.norm(d, axis=0)
+        observations = []
+        for _ in range(t):
+            x = d[:, rng.choice(m, size=k, replace=False)] @ rng.standard_normal(k)
+            observations.append(apply_measurement(model, x / np.abs(x).max()))
+        return d, observations
+
+    def _descend_both(self, monkeypatch, d, observations, cfg, stop=None):
+        """(columns selected per top-K call, batch widths as columns left,
+        iterations) of the warm run, after checking it against the reference."""
+        projector, mu = batch_projector(observations), _resolve_step(d)
+        a0 = np.zeros((d.shape[1], len(observations)))
+        selected, widths, full = [], [], nlcs.linops._topk_keep
+        with monkeypatch.context() as mp:
+            mp.setattr(nlcs.linops, "_topk_keep",
+                       lambda v, k: selected.append(v.shape[1]) or full(v, k))
+            got = _descend(d, _CountingProjector(projector, widths), a0.copy(), cfg, mu, stop)
+        with monkeypatch.context() as mp:
+            mp.setattr(nlcs.solvers, "prox_l0_topk", _full_selection)
+            want = _descend(d, projector, a0.copy(), cfg, mu, stop)
+        for g, w in zip(got, want):  # codes, totals, stopped flags, data terms
+            assert_bitwise_equal(g, w)
+        return selected, widths, len(got[1]) - 1
+
+    def test_clipped_data(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        d, observations = self._problem(rng, Clip(0.4, -0.4))
+        selected, _, iters = self._descend_both(
+            monkeypatch, d, observations, SolverConfig(L0(4), max_iters=60))
+        assert iters > 20
+        assert sum(selected) < iters * len(observations) / 2  # most columns held
+
+    def test_quantized_data_with_columns_leaving(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        model = uniform_quantizer_for_bits(12)
+        d, observations = self._problem(rng, model)
+        stop = np.full(len(observations), 0.1)  # reached at different iterations
+        selected, widths, iters = self._descend_both(
+            monkeypatch, d, observations, SolverConfig(L0(4), max_iters=60), stop)
+        assert len(widths) >= 2 and widths[-1] < len(observations)  # left mid-solve
+        assert sum(selected) < iters * len(observations) / 2
+
+    def test_learning_on_clipped_data(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        d_true, observations = self._problem(rng, Clip(0.4, -0.4), t=40)
+        train = TrainingSet(observations)
+        cfg = DictLearnConfig(inner_code=SolverConfig(L0(4), max_iters=10),
+                              outer_iters=4, inner_dict_iters=5)
+        d0 = dct_dictionary(32, 128)
+        got = learn(train, d0, cfg)
+        monkeypatch.setattr(nlcs.solvers, "prox_l0_topk", _full_selection)
+        want = learn(train, d0, cfg)
+        for g, w in zip(got[:2], want[:2]):
+            assert_bitwise_equal(g, w)
+        assert got[2].after_coding == want[2].after_coding
+        assert got[2].after_dict == want[2].after_dict
