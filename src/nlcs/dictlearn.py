@@ -23,7 +23,7 @@ from typing import List
 import numpy as np
 
 from .measurements import Observation, batch_projector
-from .solvers import L0, SolverConfig, _descend, _penalty, _resolve_step, _synth_used
+from .solvers import SolverConfig, _descend, _evaluate, _resolve_step, _synth_used
 
 __all__ = [
     "DictLearnConfig",
@@ -161,16 +161,14 @@ def learn(train: TrainingSet, d0: np.ndarray, cfg: DictLearnConfig,
         a = _as_code_matrix(init_codes, d.shape[1], len(train)).copy()
 
     projector, code = train.projector, cfg.inner_code
-    reg, synth = code.regularizer, _synth_used if isinstance(code.regularizer, L0) else np.matmul
+    lam = getattr(code.regularizer, "lam", None)  # None: top-K, no penalty
     trace = LearnTrace()
     for _ in range(cfg.outer_iters):
         a, totals = _descend(d, projector, a, code, _resolve_step(d, code.step))[:2]
         trace.after_coding.append(float(totals[-1]))  # the kernel's objective of the codes
 
         d = dict_update(d, a, train, cfg)
-        z = synth(d, a)
-        r = z - projector.project(z)
-        trace.after_dict.append(0.5 * float(np.sum(r * r)) + float(np.sum(_penalty(reg, a))))
+        trace.after_dict.append(float(_evaluate(d, projector, a, _synth_used, lam)[2].sum()))
 
     unused = np.flatnonzero(~np.any(a != 0.0, axis=1))
     if unused.size:

@@ -166,10 +166,10 @@ def _solve(d, observations, method, params: SolveParams, *,
     return codes
 
 
-def _estimate(d, codes, observations, top_k: bool) -> np.ndarray:
+def _estimate(d, codes, observations) -> np.ndarray:
     """(N, T) final signal estimates: D a re-projected onto the feasibility
     sets, or D a itself for noisy (Identity) and 1-bit observations."""
-    z = _synth_used(d, codes) if top_k else d @ codes
+    z = _synth_used(d, codes)
     if isinstance(observations[0].model, (Identity, OneBit)):
         return z
     return batch_projector(observations).project(z)
@@ -180,14 +180,13 @@ def _synth_estimates(d, observations, methods, task, params: SolveParams) -> Lis
     and baseline in one homotopy call, their observations in the order of methods."""
     if methods[0] in ("fixed", "iht"):
         codes = _solve(d, observations, methods[0], params, classical_start=methods[0] == "iht")
-        return [_estimate(d, codes, observations, methods[0] == "iht")]
+        return [_estimate(d, codes, observations)]
     t, eps = len(observations), np.full(len(observations), params.epsilon)
     sets = [(observations, eps) if m == "adaptive" else _baseline_observations(observations, task)
             for m in methods]
     codes = _solve(d, [o for obs, _ in sets for o in obs], "adaptive", params,
                    stop=np.concatenate([eps if stop is None else stop for _, stop in sets]))
-    return [_estimate(d, codes[:, i * t:(i + 1) * t], obs, False)
-            for i, (obs, _) in enumerate(sets)]
+    return [_estimate(d, codes[:, i * t:(i + 1) * t], obs) for i, (obs, _) in enumerate(sets)]
 
 
 def check_methods(methods: Sequence[str], learn: bool = False) -> None:
@@ -352,8 +351,7 @@ def run_audio(task: str, samples: np.ndarray, frame_spec: FrameSpec,
         else:
             codes = _solve(d, obs, method, params,
                            classical_start=method == "iht" or task == "onebit")
-        estimate = overlap_add(_estimate(d, codes, obs, method in ("iht", "baseline")),
-                               frame_spec, len(samples))
+        estimate = overlap_add(_estimate(d, codes, obs), frame_spec, len(samples))
         runtime = setup + time.perf_counter() - t0
         snr = None if reference is None else (
             angular_snr_db if task == "onebit" else snr_db)(estimate, reference)

@@ -19,7 +19,7 @@ Lipschitz constant of 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -172,6 +172,14 @@ class GeneralLinear:
             raise ValueError("sensing matrix must be finite")
         object.__setattr__(self, "matrix", m)
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """M M^T, its condition checked once per model."""
+        gram = self.matrix @ self.matrix.T
+        if np.linalg.cond(gram) > MAX_GRAM_CONDITION:
+            raise SingularModelError("sensing matrix is numerically rank deficient")
+        return gram
+
 
 # The | form builds a fresh union object; typing.Union would keep it, and
 # with it this module, in typing's cache across re-imports of the package.
@@ -255,7 +263,6 @@ class Observation:
     reliable: Optional[np.ndarray] = None
     clip_pos: Optional[np.ndarray] = None
     clip_neg: Optional[np.ndarray] = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         y = _as_float_vector(self.values, "values")
@@ -293,20 +300,23 @@ class Observation:
         r, p, n = masks
         if np.any(r.astype(int) + p.astype(int) + n.astype(int) != 1):
             raise ValueError("clip masks must partition the samples exactly")
-        tol_p = VALUE_MATCH_RTOL * max(1.0, abs(m.theta_pos))
-        tol_n = VALUE_MATCH_RTOL * max(1.0, abs(m.theta_neg))
-        if np.any(np.abs(y[p] - m.theta_pos) > tol_p):
+        if not np.all(_at(y[p], m.theta_pos)):
             raise ValueError("positively clipped samples must sit at theta_pos")
-        if np.any(np.abs(y[n] - m.theta_neg) > tol_n):
+        if not np.all(_at(y[n], m.theta_neg)):
             raise ValueError("negatively clipped samples must sit at theta_neg")
 
+    @cached_property
+    def _intervals(self) -> IntervalSet:
+        return feasibility_intervals(self)
+
     def intervals(self) -> IntervalSet:
-        """Feasibility intervals for this observation (cached)."""
-        iv = self._cache.get("intervals")
-        if iv is None:
-            iv = feasibility_intervals(self)
-            self._cache["intervals"] = iv
-        return iv
+        """Feasibility intervals for this observation (computed once)."""
+        return self._intervals
+
+
+def _at(y, theta: float) -> np.ndarray:
+    """Which samples of y sit at theta, to VALUE_MATCH_RTOL * max(1, |theta|)."""
+    return np.abs(y - theta) <= VALUE_MATCH_RTOL * max(1.0, abs(theta))
 
 
 def apply_measurement(model: MeasurementModel, x) -> Observation:
@@ -399,31 +409,15 @@ def feasibility_intervals(obs: Observation) -> IntervalSet:
     raise TypeError(f"unknown measurement model {m!r}")
 
 
-def _linear_gram(model: GeneralLinear, cache: Optional[dict] = None) -> np.ndarray:
-    gram = None if cache is None else cache.get("gram")
-    if gram is None:
-        m = model.matrix
-        gram = m @ m.T
-        if np.linalg.cond(gram) > MAX_GRAM_CONDITION:
-            raise SingularModelError("sensing matrix is numerically rank deficient")
-        if cache is not None:
-            cache["gram"] = gram
-    return gram
-
-
-def project_linear(model: GeneralLinear, y, x, _cache: Optional[dict] = None) -> np.ndarray:
+def project_linear(model: GeneralLinear, y, x) -> np.ndarray:
     """Projection onto {z : M z = y}: x - M^T (M M^T)^{-1} (M x - y).
 
     Solves the L x L symmetric positive-definite system directly; accepts x
     of shape (N,) or (N, T) for batched projection, with y of shape (L,) or,
     one observation per column, (L, T).
     """
-    m = model.matrix
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    gram = _linear_gram(model, _cache)
-    resid = m @ x - (y if y.ndim == x.ndim else y[:, None])
-    w = np.linalg.solve(gram, resid)
+    m, x, y = model.matrix, np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    w = np.linalg.solve(model.gram, m @ x - (y if y.ndim == x.ndim else y[:, None]))
     return x - m.T @ w
 
 
@@ -443,13 +437,14 @@ class _Projection(partial):
 
 
 def _project_each(observations, z):
-    return np.stack([project_linear(o.model, o.values, z[:, t], _cache=o._cache)
+    return np.stack([project_linear(o.model, o.values, z[:, t])
                      for t, o in enumerate(observations)], axis=1)
 
 
 def batch_projector(observations: Sequence[Observation]):
     """The projector of a batch: ``project((N, T)) -> (N, T)``, and
-    ``columns(cols)``, the projector of the batch's columns cols."""
+    ``columns(cols)``, the projector of the batch's columns cols.  The only
+    code that tells a linear feasibility set from an interval box."""
     obs = list(observations)
     if not obs:
         raise ValueError("need at least one observation")
@@ -463,27 +458,20 @@ def batch_projector(observations: Sequence[Observation]):
                            np.stack([iv.upper for iv in intervals], axis=1))
     if all(o.model is first.model for o in obs):
         y = np.stack([o.values for o in obs], axis=1)
-        return _Projection(project_linear, first.model, y, _cache=first._cache)
+        return _Projection(project_linear, first.model, y)
     return _Projection(_project_each, np.array(obs, dtype=object))
 
 
-def _project_onto_feasibility(obs: Observation, x) -> np.ndarray:
-    if isinstance(obs.model, GeneralLinear):
-        return project_linear(obs.model, obs.values, x, _cache=obs._cache)
-    return project(obs.intervals(), x)
+def gradient(obs: Observation, x) -> np.ndarray:
+    """Gradient x - proj(x) of the data cost at an (N,) signal x: a one-column batch."""
+    x = np.asarray(x, dtype=float)
+    return x - batch_projector([obs]).project(x[:, None])[:, 0]
 
 
 def cost(obs: Observation, x) -> float:
-    """Half squared distance from x to the feasibility set of obs."""
-    x = np.asarray(x, dtype=float)
-    r = x - _project_onto_feasibility(obs, x)
+    """Half squared distance from the (N,) signal x to the feasibility set of obs."""
+    r = gradient(obs, x)
     return 0.5 * float(r @ r)
-
-
-def gradient(obs: Observation, x) -> np.ndarray:
-    """Gradient of the data cost: x - proj(x)."""
-    x = np.asarray(x, dtype=float)
-    return x - _project_onto_feasibility(obs, x)
 
 
 def estimate_clip_model(y) -> Observation:
@@ -498,10 +486,7 @@ def estimate_clip_model(y) -> Observation:
     theta_neg = float(np.min(y))
     if theta_pos == theta_neg:
         raise DegenerateObservationError("constant input: every sample would be clipped")
-    tol_p = VALUE_MATCH_RTOL * max(1.0, abs(theta_pos))
-    tol_n = VALUE_MATCH_RTOL * max(1.0, abs(theta_neg))
-    pos = np.abs(y - theta_pos) <= tol_p
-    neg = np.abs(y - theta_neg) <= tol_n
+    pos, neg = _at(y, theta_pos), _at(y, theta_neg)
     if np.any(pos & neg):
         raise DegenerateObservationError("clip thresholds are not separated")
     model = Clip(theta_pos, theta_neg)

@@ -48,6 +48,8 @@ class SyntheticSpec:
     quant_bits: Tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.signal_dim < 1 or self.atom_count < 1 or self.count < 1:
             raise ValueError("dimensions and count must be positive")
         if not 1 <= self.sparsity <= self.atom_count:
@@ -194,19 +196,10 @@ def angular_snr_db(estimate, reference) -> float:
     measurement destroys amplitude information (1-bit data).
     """
     xhat = np.asarray(estimate, dtype=float)
-    x = np.asarray(reference, dtype=float)
-    if xhat.shape != x.shape:
-        raise ValueError("estimate and reference must have the same length")
-    ref_norm = np.linalg.norm(x)
     est_norm = np.linalg.norm(xhat)
-    if ref_norm == 0.0:
-        raise ValueError("reference signal is zero")
     if est_norm == 0.0:
         raise ValueError("estimate signal is zero")
-    err = np.linalg.norm(x - (ref_norm / est_norm) * xhat)
-    if err == 0.0:
-        return np.inf
-    return 20.0 * np.log10(ref_norm / err)
+    return snr_db((np.linalg.norm(reference) / est_norm) * xhat, reference)
 
 
 def wav_read(path) -> tuple[np.ndarray, int]:
@@ -220,6 +213,8 @@ def wav_read(path) -> tuple[np.ndarray, int]:
             nch = fh.getnchannels()
             rate = fh.getframerate()
             raw = fh.readframes(fh.getnframes())
+    except EOFError as exc:  # wave reads past the end of a short file
+        raise ValueError(f"{path}: not a complete RIFF/WAVE file") from exc
     except wave.Error as exc:
         raise ValueError(f"{path}: malformed wav file ({exc})") from exc
     data = np.frombuffer(raw, dtype="<i2")

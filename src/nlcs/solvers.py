@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from .linops import prox_l0_topk, prox_l1, spectral_norm
-from .measurements import GeneralLinear, Observation, batch_projector, cost
+from .measurements import GeneralLinear, Observation, batch_projector
 
 __all__ = [
     "L1",
@@ -59,9 +59,12 @@ def _level_or_columns(value, name: str, zero_ok: bool):
     """value unchanged if scalar, as a float array if 1-d (one per column);
     every entry must be finite and positive, or >= 0 when zero_ok."""
     v = np.asarray(value, dtype=float)
-    if v.ndim > 1 or not np.all(np.isfinite(v) & ((v >= 0) if zero_ok else (v > 0))):
+    bad = np.flatnonzero(~(np.isfinite(v) & ((v >= 0) if zero_ok else (v > 0))))
+    if v.ndim > 1 or bad.size:  # one line: the first bad entry, not the array
+        got = (f"shape {v.shape}" if v.ndim > 1 else f"{v.flat[bad[0]]}"
+               + (f" in column {bad[0]}" if v.ndim else ""))
         raise ValueError(f"{name} must be a scalar or 1-d, finite and "
-                         f"{'>= 0' if zero_ok else 'positive'}, got {value}")
+                         f"{'>= 0' if zero_ok else 'positive'}, got {got}")
     return v if v.ndim == 1 else value
 
 
@@ -199,22 +202,32 @@ def _synth_used(d: np.ndarray, a: np.ndarray) -> np.ndarray:
     return d @ a if 2 * rows.size >= a.shape[0] else d[:, rows] @ a[rows]
 
 
-def _penalty(reg: Regularizer, a: np.ndarray):
-    """lam * ||a_t||_1 per column of a (0 under the L0 constraint)."""
-    if isinstance(reg, L1):
-        return reg.lam * np.sum(np.abs(a), axis=0)
-    return np.zeros(a.shape[1:])
+def _evaluate(d: np.ndarray, projector, a: np.ndarray, synth, lam):
+    """For (M, T) codes a and D a = synth(d, a): the residual proj(D a) - D a, in
+    projector.project's new array, and per column the data term 0.5 ||r_t||^2 and
+    the objective data + lam ||a_t||_1 (the data term when lam is None: top-K)."""
+    add = np.add.reduce
+    z = synth(d, a)
+    r = projector.project(z)
+    r -= z
+    data = 0.5 * add(np.square(r, out=z), axis=0)  # into D a's array, not a new temporary
+    return r, data, data if lam is None else data + lam * add(np.abs(a), axis=0)
+
+
+def _objective_of_one(d: np.ndarray, alpha: np.ndarray, obs: Observation, lam) -> float:
+    a = np.asarray(alpha, dtype=float)[:, None]
+    return float(_evaluate(d, batch_projector([obs]), a, np.matmul, lam)[2][0])
 
 
 def objective(d: np.ndarray, alpha: np.ndarray, obs: Observation,
               cfg: SolverConfig) -> float:
     """Penalized objective cost(D a, y) + lam * ||a||_1 (data term only for L0)."""
-    return cost(obs, d @ alpha) + float(_penalty(cfg.regularizer, alpha))
+    return _objective_of_one(d, alpha, obs, getattr(cfg.regularizer, "lam", None))
 
 
 def consistency_level(d: np.ndarray, alpha: np.ndarray, obs: Observation) -> float:
     """Data term cost(D a, y) of the current code."""
-    return cost(obs, d @ alpha)
+    return _objective_of_one(d, alpha, obs, None)
 
 
 def _descend(d: np.ndarray, projector, a: np.ndarray, cfg: SolverConfig,
@@ -229,16 +242,16 @@ def _descend(d: np.ndarray, projector, a: np.ndarray, cfg: SolverConfig,
     (decay, log), a column still above stop_consistency then goes on at
     lam * decay while log has a row left, and log[:, s, t] gets column t's
     lam, data term, l1 norm and iterations after its stage s.  Finished
-    columns leave the batch (projector.columns); projector.project must
-    return a new array, which becomes the residual in place.  Returns the
-    codes, the total objective (finished columns frozen) before the first
-    and after every iteration, per-column flags "last stage ended by its
-    test" and the final data terms.
+    columns leave the batch (projector.columns).  _evaluate scores the codes
+    before the loop and after every step.  Returns the codes, the total
+    objective (finished columns frozen) before the first and after every
+    iteration, per-column flags "last stage ended by its test" and the
+    final data terms.
 
     On small batches the loop is bound by Python overhead, so the
-    regulariser is resolved once, the schedule is one array, reductions
-    call the ufuncs directly and the iteration cap is tested only once some
-    column can reach it.
+    regulariser (synthesis, prox, penalty) is resolved once, the schedule
+    is one array, reductions call the ufuncs directly and the iteration
+    cap is tested only once some column can reach it.
     """
     reg = cfg.regularizer
     add, every_of, any_of = np.add.reduce, np.logical_and.reduce, np.logical_or.reduce
@@ -249,28 +262,13 @@ def _descend(d: np.ndarray, projector, a: np.ndarray, cfg: SolverConfig,
     decay, log = homotopy or (None, None)
     stop_each_iteration = stop_consistency is not None and log is None
     rows = np.tile(np.arange(getattr(reg, "k", 0))[:, None], t_count)  # top-K's candidate rows
-    if isinstance(reg, L1):
-        synth = np.matmul
+    shrink = isinstance(reg, L1)  # not "l1": the stage-end block binds that name
+    synth = np.matmul if shrink else _synth_used
 
-        def prox(g):
-            return prox_l1(g, threshold)
+    def prox(g):  # top-K's rows becomes the rows kept
+        return prox_l1(g, threshold) if shrink else prox_l0_topk(g, reg.k, rows)
 
-        def penalized(data, a):
-            return data + lam * add(np.abs(a), axis=0)
-    else:
-        synth = _synth_used
-
-        def prox(g):
-            return prox_l0_topk(g, reg.k, rows)  # rows becomes the rows kept
-
-        def penalized(data, a):  # the constraint carries no penalty
-            return data
-
-    z = synth(d, a)
-    r = projector.project(z)
-    r -= z  # the residual proj(D a) - D a, in the projection's new array
-    data = 0.5 * add(r ** 2, axis=0)
-    f = penalized(data, a)
+    r, data, f = _evaluate(d, projector, a, synth, lam if shrink else None)
     out, final, stopped = a, np.empty(t_count), np.empty(t_count, bool)
     totals, frozen, threshold, cap_at, k = [float(add(f))], 0.0, lam * mu, cfg.max_iters, 0
     test = ended = data <= stop  # a column already at its level never runs
@@ -303,11 +301,7 @@ def _descend(d: np.ndarray, projector, a: np.ndarray, cfg: SolverConfig,
         g *= mu
         g += a
         a_new = prox(g)
-        z = synth(d, a_new)
-        r = projector.project(z)
-        r -= z
-        data = 0.5 * add(r ** 2, axis=0)
-        f_new = penalized(data, a_new)
+        r, data, f_new = _evaluate(d, projector, a_new, synth, lam if shrink else None)
         total = float(add(f_new))
         if not total < np.inf:  # every term is >= 0: NaN or inf in one reaches the sum
             raise DivergenceError(f"objective diverged at iteration {k}")

@@ -285,6 +285,30 @@ class TestErrors:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("args, shown", [
+    (["synth", "--count", "2", "--epsilon", "inf"],
+     "epsilon must be a scalar or 1-d, finite and positive, got inf in column 0"),
+    (["synth", "--count", "2", "--lambda", "nan"],
+     "lam must be a scalar or 1-d, finite and >= 0, got nan"),
+    (["synth", "--count", "2", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["declip", "NOT_WAV"], "NOT_WAV: not a complete RIFF/WAVE file"),
+    (["declip", "VOICE", "--overlap", "1.5"], "overlap must lie in [0, 1), got 1.5"),
+    (["declip", "VOICE", "-K", "0"], "sparsity must be in [1, 512], got 0"),
+    (["dequant", "VOICE", "--bits", "0"], "bits must be in [1, 16], got 0"),
+    (["declip", "VOICE", "--frame", "0"], "frame_len must be positive"),
+], ids=["epsilon-inf", "lambda-nan", "seed-negative", "not-a-wav", "overlap-1.5", "k-zero",
+        "bits-zero", "frame-zero"])
+def test_bad_invocation_is_one_error_line(voice_wav, tmp_path, capsys, args, shown):
+    not_wav = tmp_path / "notawav.wav"
+    not_wav.write_text("hello")
+    names = {"VOICE": voice_wav, "NOT_WAV": str(not_wav)}
+    rc = main([names.get(a, a) for a in args] + ["--out", str(tmp_path / "o.out")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    shown = shown.replace("NOT_WAV", str(not_wav))
+    assert len(err) == 1 and err[0].startswith("error: ") and shown in err[0]
+
+
 class TestMethodList:
     """--method is checked before anything is solved, with a one-line error."""
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import assert_bitwise_equal
 
 from nlcs.cli import main
 from nlcs.experiments import (
@@ -7,12 +8,13 @@ from nlcs.experiments import (
     _baseline_observations,
     _classical_init,
     _estimate,
+    _solve,
     distortion,
     run_audio,
     run_synth,
 )
 from nlcs.linops import dct_dictionary
-from nlcs.measurements import Clip, Identity, Mask, OneBit, apply_measurement
+from nlcs.measurements import Clip, Identity, Mask, OneBit, apply_measurement, batch_projector
 from nlcs.pipeline import (
     FrameSpec,
     SyntheticSpec,
@@ -85,14 +87,23 @@ class TestClassicalInit:
 class TestEstimate:
     @pytest.mark.parametrize("model", [Clip(0.3, -0.3), OneBit()])
     def test_top_k_estimate_matches_dense_synthesis(self, short_signal, model):
+        # _estimate picks the synthesis from the codes: gathered for top-K
+        # codes that use few atoms, dense for l1 codes that use half or more
         d = dct_dictionary(64, 128)
         frames = short_signal[:64 * 12].reshape(12, 64).T
         observations = [apply_measurement(model, x) for x in frames.T]
+
+        def dense(codes):
+            z = d @ codes
+            return z if isinstance(model, OneBit) else batch_projector(observations).project(z)
+
         codes = _classical_init(d, observations, 8)
         assert 2 * np.count_nonzero(codes.any(axis=1)) < 128  # gathered, not dense
-        np.testing.assert_allclose(_estimate(d, codes, observations, True),
-                                   _estimate(d, codes, observations, False),
+        np.testing.assert_allclose(_estimate(d, codes, observations), dense(codes),
                                    rtol=1e-12, atol=1e-15)
+        codes = _solve(d, observations, "fixed", PARAMS_SMALL, classical_start=True)
+        assert 2 * np.count_nonzero(codes.any(axis=1)) >= 128  # dense
+        assert_bitwise_equal(_estimate(d, codes, observations), dense(codes))
 
 
 class TestRunSynth:

@@ -3,7 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import FAMILIES, SEPARABLE_FAMILIES, random_observation
+from conftest import (
+    FAMILIES,
+    SEPARABLE_FAMILIES,
+    assert_bitwise_equal,
+    random_model,
+    random_observation,
+)
 from nlcs.measurements import (
     Clip,
     DegenerateObservationError,
@@ -319,6 +325,33 @@ class TestProjectLinear:
         with pytest.raises(SingularModelError):
             project_linear(GeneralLinear(m), np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_condition_checked_once_per_model(self, monkeypatch, rank_deficient):
+        # the Gram matrix belongs to the model: observations that share one
+        # model check its condition once, and a rejected model stays rejected
+        rng = np.random.default_rng(20)
+        m = rng.standard_normal((3, 6))
+        if rank_deficient:
+            m[2] = m[0] + m[1]
+        model = GeneralLinear(m)
+        observations = [Observation(m @ rng.standard_normal(6), model) for _ in range(2)]
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda g: calls.append(1) or cond(g))
+
+        def attempt(run):
+            if rank_deficient:
+                with pytest.raises(SingularModelError):
+                    run()
+            else:
+                run()
+
+        for _ in range(3):
+            attempt(lambda: batch_projector(observations).project(np.ones((6, 2))))
+            for o in observations:
+                attempt(lambda: gradient(o, np.ones(6)))
+        assert len(calls) == (9 if rank_deficient else 1)
+
 
 class TestCostGradient:
     def test_member_has_zero_cost_and_gradient(self):
@@ -349,6 +382,31 @@ class TestCostGradient:
         g = gradient(obs, x)
         fd = _central_differences(obs, x)
         assert np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1.0) < 1e-5
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_single_signal_gradient_is_one_column_of_the_batch(family):
+    # cost and gradient are T = 1 batches: each observation's gradient is
+    # its column of a batch residual (bitwise for the interval boxes; a
+    # linear batch solves with T right-hand sides at once)
+    rng = np.random.default_rng(21)
+    n, t_count = 12, 5
+    model = random_model(family, rng, n)
+    signals = rng.standard_normal((n, t_count))
+    if family == "gquant":
+        signals = np.tanh(signals)
+    observations = [apply_measurement(model, x) for x in signals.T]
+    z = 2.0 * rng.standard_normal((n, t_count))
+    batch = z - batch_projector(observations).project(z)
+    for t, obs in enumerate(observations):
+        col = np.ascontiguousarray(batch[:, t])
+        g = gradient(obs, z[:, t])
+        if family == "linear":
+            np.testing.assert_allclose(g, col, rtol=1e-12, atol=1e-14)
+            assert cost(obs, z[:, t]) == pytest.approx(0.5 * float(col @ col), rel=1e-12)
+        else:
+            assert_bitwise_equal(g, col)
+            assert cost(obs, z[:, t]) == 0.5 * float(col @ col)
 
 
 def _away_from_bounds(obs, rng, margin=1e-3):

@@ -172,6 +172,15 @@ class TestMetrics:
         with pytest.raises(ValueError):
             angular_snr_db(np.zeros(3), np.ones(3))
 
+    def test_angular_is_the_snr_of_the_rescaled_estimate(self):
+        # bit for bit the closed form 20 log10(|x| / |x - (|x| / |xhat|) xhat|)
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            x, xhat = rng.standard_normal((2, 40)) * 10.0 ** rng.uniform(-3, 3, (2, 1))
+            ref, est = np.linalg.norm(x), np.linalg.norm(xhat)
+            want = 20.0 * np.log10(ref / np.linalg.norm(x - (ref / est) * xhat))
+            assert angular_snr_db(xhat, x) == want
+
 
 class TestWav:
     def test_roundtrip_error_bound(self, tmp_path):
@@ -230,6 +239,15 @@ class TestWav:
         path.write_bytes(b"RIFFgarbage")
         with pytest.raises(ValueError):
             wav_read(path)
+
+    @pytest.mark.parametrize("content", [b"", b"hello", b"RIFF\x10\x00"])
+    def test_truncated_file_rejected(self, tmp_path, content):
+        # the wave module raises a bare EOFError when the file ends early
+        path = tmp_path / "short.wav"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as exc:
+            wav_read(path)
+        assert str(exc.value) == f"{path}: not a complete RIFF/WAVE file"
 
 
 class TestCsv:

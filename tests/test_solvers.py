@@ -418,6 +418,25 @@ class TestNoiseBound:
             assert cost(obs, x) <= 0.5 * noise @ noise + 1e-15
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("reg", [L1(1e-2), L0(3)], ids=["l1", "top-k"])
+def test_single_signal_objectives_sum_to_the_kernels_first_total(family, reg):
+    # objective is _evaluate on one column: summed over a batch it gives
+    # the kernel's objective of the same codes
+    rng = np.random.default_rng(22)
+    d, _, _, _ = random_sparse_problem(family, rng)
+    model = random_model(family, rng, d.shape[0])
+    signals = rng.standard_normal((d.shape[0], 6))
+    if family == "gquant":
+        signals = np.tanh(signals)
+    observations = [apply_measurement(model, x) for x in signals.T]
+    a = np.where(rng.random((d.shape[1], 6)) < 0.2, rng.standard_normal((d.shape[1], 6)), 0.0)
+    cfg = SolverConfig(reg, max_iters=1)
+    totals = _descend(d, batch_projector(observations), a.copy(), cfg, _resolve_step(d))[1]
+    got = sum(objective(d, a[:, t], o, cfg) for t, o in enumerate(observations))
+    assert got == pytest.approx(totals[0], rel=1e-12)
+
+
 class TestConsistencyLevel:
     def test_matches_cost(self):
         rng = np.random.default_rng(15)
