@@ -92,14 +92,22 @@ def project_dictionary(d: np.ndarray) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if not np.all(np.isfinite(d)):
         raise ValueError("dictionary must be finite")
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(d, axis=0)
-    out = d / np.maximum(norms, 1.0)
-    over = np.isinf(norms)
-    if over.any():
+    return _onto_unit_ball(d, _column_norms(d), np.empty_like(d))
+
+
+def _column_norms(d: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # a finite column's norm may overflow
+        return np.linalg.norm(d, axis=0)
+
+
+def _onto_unit_ball(d: np.ndarray, norms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """d_i / max(norms_i, 1) into out, which may be d itself."""
+    over = np.flatnonzero(np.isinf(norms))
+    big = d[:, over] if over.size else None  # a copy, taken before out is written
+    np.divide(d, np.maximum(norms, 1.0), out=out)
+    if over.size:
         # a finite column whose norm overflows: scale its peak into [0.5, 1)
         # by a power of two, as spectral_norm does, and normalise that
-        big = d[:, over]
         big = np.ldexp(big, -np.frexp(np.max(np.abs(big), axis=0))[1])
         out[:, over] = big / np.linalg.norm(big, axis=0)
     return out
@@ -132,11 +140,16 @@ def dict_update(d: np.ndarray, codes, train: TrainingSet, cfg: DictLearnConfig
     projector = train.projector
     for _ in range(cfg.inner_dict_iters):
         z = du @ au
-        e = projector.project(z) - z
-        du = du + mu2 * (e @ au.T)
-        if not np.all(np.isfinite(du)):
+        e = projector.project(z)
+        e -= z
+        du_next = e @ au.T
+        du_next *= mu2
+        du_next += du  # du + mu2 e a^T, in the product's array
+        du, norms = du_next, _column_norms(du_next)
+        odd = np.flatnonzero(~np.isfinite(norms))  # NaN or inf entries, or an overflow
+        if odd.size and not np.all(np.isfinite(du[:, odd])):
             raise RuntimeError("dictionary update diverged")
-        du = project_dictionary(du)
+        _onto_unit_ball(du, norms, du)
     d = d.copy()
     d[:, used] = du
     return d
@@ -163,12 +176,15 @@ def learn(train: TrainingSet, d0: np.ndarray, cfg: DictLearnConfig,
     projector, code = train.projector, cfg.inner_code
     lam = getattr(code.regularizer, "lam", None)  # None: top-K, no penalty
     trace = LearnTrace()
-    for _ in range(cfg.outer_iters):
+    for i in range(cfg.outer_iters):
         a, totals = _descend(d, projector, a, code, _resolve_step(d, code.step))[:2]
-        trace.after_coding.append(float(totals[-1]))  # the kernel's objective of the codes
-
+        if i:  # the kernel's first objective: the codes on the last update's dictionary
+            trace.after_dict.append(float(totals[0]))
+        trace.after_coding.append(float(totals[-1]))
         d = dict_update(d, a, train, cfg)
-        trace.after_dict.append(float(_evaluate(d, projector, a, _synth_used, lam)[2].sum()))
+    if cfg.outer_iters:  # evaluated as the kernel does
+        synth = _synth_used if lam is None else np.matmul
+        trace.after_dict.append(float(_evaluate(d, projector, a, synth, lam)[2].sum()))
 
     unused = np.flatnonzero(~np.any(a != 0.0, axis=1))
     if unused.size:

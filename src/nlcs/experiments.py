@@ -48,6 +48,7 @@ from .solvers import (
     L1,
     HomotopyConfig,
     SolverConfig,
+    _level_or_columns,
     _resolve_step,
     _synth_used,
     sparse_code_adaptive,
@@ -81,6 +82,10 @@ class SolveParams:
     k: int = 32
     outer_iters: int = 50
     inner_iters: int = 20
+
+    def __post_init__(self):  # here, before a batch broadcasts them to its columns
+        _level_or_columns(self.lam, "lam", zero_ok=True)
+        _level_or_columns(self.epsilon, "epsilon", zero_ok=False)
 
 
 def distortion(kind: str, level=None) -> tuple[Optional[MeasurementModel], str]:

@@ -20,9 +20,12 @@ consistency epsilon.
 Signals do not interact once D is fixed, so every coder runs one kernel on
 (M, T) code matrices, one column per signal and feasibility set: each column
 runs its own schedule and epsilon, and leaves the batch when it is done.
-Top-K codes synthesize D a from the atoms in use; the gradient stays
-dense, as the next support needs every atom's correlation.  Top-K reuses
-the last support where it still holds.
+Top-K codes synthesize D a from the atoms in use, and their gradient is
+taken on U, the atoms any column has used in the solve, while each column
+keeps a residual bound for the atoms outside U: a column whose support is
+still the strict top-K of g on U, above that bound, provably keeps it and
+needs no product with the other atoms.  Every other column takes the full
+product, and top-K reuses the last support where it still holds.
 """
 
 from __future__ import annotations
@@ -230,6 +233,162 @@ def consistency_level(d: np.ndarray, alpha: np.ndarray, obs: Observation) -> flo
     return _objective_of_one(d, alpha, obs, None)
 
 
+def _code_rows(a: np.ndarray, k: int, rows: np.ndarray) -> np.ndarray:
+    """Per column of the (M, T) codes a: whether it holds exactly k nonzeros,
+    whose rows then replace that column of the (k, T) rows in place."""
+    nonzero = a != 0.0
+    full = np.add.reduce(nonzero, axis=0) == k
+    if full.any():
+        rows[:, full] = np.nonzero(nonzero[:, full].T)[1].reshape(-1, k).T
+    return full
+
+
+class _TopKScreen:
+    """The top-K step a <- top_k(a + mu D^T r) on the (M, T) codes of one
+    solve, multiplying only the atoms in use where a bound allows.
+
+    U, the atoms that some column's code has held in the solve (every
+    nonzero of a among them), only grows, and D[:, U] is gathered again
+    only when it does.  A column's candidate S holds the rows of its code
+    when that has exactly k nonzeros.  From its last full product the
+    column keeps the residual r_ref and m, the largest |g_j| over the atoms
+    j outside U (mu |d_j^T r_ref|, as a_j = 0 there).  An iteration
+    computes g on U alone, and column t keeps S with the values g_S when
+
+        min_S |g| > max(max_(U - S) |g|, (m + mu ||d||_max ||r - r_ref||) (1 + 1e-9)
+                        + mu ||d||_max tol (||r|| + ||r_ref||)),
+
+    tol = 4 N eps covering the rounding of both products: S is then the
+    strict top-K of the full g, which prox_l0_topk's held path returns as
+    it is.  NaN or inf fails the test.  Every other column takes the full
+    product and prox_l0_topk with S as its candidate, and refreshes r_ref,
+    m and S from its new code; so does every column when fewer than half
+    hold.  Once U covers half the atoms every step is the dense one, as in
+    _synth_used.
+    """
+
+    def __init__(self, d: np.ndarray, k: int, mu: float, a: np.ndarray):
+        n, m_atoms = d.shape
+        t_count = a.shape[1]
+        self.d, self.k, self.mu = d, k, mu
+        self.rows = np.tile(np.arange(k)[:, None], t_count)  # S, per column
+        _code_rows(a, k, self.rows)  # a warm start's supports
+        self.inside = a.any(axis=1)  # U as a mask
+        self.used = np.flatnonzero(self.inside)  # U, in the order atoms joined
+        self.dense = 2 * self.used.size >= m_atoms
+        self.where = np.full(m_atoms, -1)  # an atom's place in U
+        self.where[self.used] = np.arange(self.used.size)
+        self.d_used = d[:, self.used]
+        self.pos = np.zeros((k, t_count), dtype=np.intp)  # S's places in U
+        self.m, self.ref_norm = np.full(t_count, np.inf), np.zeros(t_count)  # inf: no bound
+        self.r_ref = None  # may share the kernel's residual array, which it never writes
+        self.reach = mu * float(np.max(np.linalg.norm(d, axis=0)))
+        self.tol = 4.0 * n * np.finfo(float).eps
+
+    def columns(self, keep: np.ndarray) -> None:
+        """Keep the per-column state of the columns still running."""
+        self.rows, self.pos = self.rows[:, keep], self.pos[:, keep]
+        self.m, self.ref_norm = self.m[keep], self.ref_norm[keep]
+        if self.r_ref is not None:
+            self.r_ref = self.r_ref[:, keep]
+
+    def step(self, a: np.ndarray, r: np.ndarray, data: np.ndarray) -> np.ndarray:
+        """The new codes from the codes a, their residual r and data terms."""
+        if self.dense:  # S becomes the rows kept
+            return prox_l0_topk(self._gradient(a, r), self.k, self.rows)
+        held, g_used, at = self._certify(a, r, data)
+        if 2 * np.count_nonzero(held) < held.size:  # gathering the rest would cost more
+            return self._select(a, r, data)
+        out = np.zeros(a.shape)
+        h = np.flatnonzero(held)
+        out.reshape(-1)[self.rows[:, h] * a.shape[1] + h] = g_used.reshape(-1)[at[:, h]]
+        del g_used, at  # free them before the full step
+        if h.size < held.size:
+            self._select(a, r, data, np.flatnonzero(~held), out)
+        return out
+
+    def _gradient(self, a, r):
+        g = self.d.T @ r
+        g *= self.mu
+        g += a
+        return g
+
+    def _certify(self, a, r, data):
+        """(columns proved to keep S, g on U, S's flat places in g) for the
+        codes a and residual r; the last two are None when no column has a
+        bound yet."""
+        m = self.m
+        if not np.logical_or.reduce(m < np.inf):
+            return np.zeros(m.shape, bool), None, None
+        at = self.pos * m.size + np.arange(m.size)
+        g = self.d_used.T @ r
+        g *= self.mu
+        g += a[self.used]
+        mag = np.abs(g).reshape(-1)
+        low = np.minimum.reduce(mag[at], axis=0)
+        mag[at] = -np.inf
+        drift = np.subtract(r, self.r_ref)
+        drift = np.sqrt(np.add.reduce(np.square(drift, out=drift), axis=0))
+        bound = (m + self.reach * drift) * (1.0 + 1e-9)
+        bound += self.reach * self.tol * (np.sqrt(2.0 * data) + self.ref_norm)
+        high = np.maximum.reduce(mag.reshape(g.shape), axis=0)
+        return (low > high) & (low > bound), g, at
+
+    def _select(self, a, r, data, redo=None, out=None):
+        """The full step on the columns redo, which then refresh their
+        candidate, bound and reference residual; their codes go into those
+        columns of the zeros out.  redo None: every column, into new codes."""
+        whole = redo is None
+        r_sub = r if whole else r[:, redo]
+        g = self._gradient(a if whole else a[:, redo], r_sub)
+        rows = self.rows if whole else self.rows[:, redo]
+        codes = prox_l0_topk(g, self.k, rows)
+        # the new S, from the codes: rows as written back where its k entries
+        # are all nonzero, else read off the code, when it has k nonzeros
+        n = codes.shape[1]
+        sure = np.logical_and.reduce(codes[rows, np.arange(n)] != 0.0, axis=0)
+        odd = np.flatnonzero(~sure)
+        if odd.size:
+            odd_rows = rows[:, odd]
+            sure[odd] = _code_rows(codes[:, odd], self.k, odd_rows)
+            rows[:, odd] = odd_rows
+            odd = np.flatnonzero(~sure)
+        if not whole:  # a sure column's code is its k entries on rows
+            kept = rows[:, sure]
+            out.reshape(-1)[kept * out.shape[1] + redo[sure]] = \
+                codes.reshape(-1)[kept * n + np.flatnonzero(sure)]
+            out[:, redo[odd]] = codes[:, odd]
+            self.rows[:, redo] = rows
+        fresh = np.zeros(self.inside.shape, bool)
+        fresh[rows[:, sure]] = True
+        if odd.size:
+            fresh |= codes[:, odd].any(axis=1)
+        fresh &= ~self.inside
+        if fresh.any():
+            self._grow(np.flatnonzero(fresh))
+        if self.dense:
+            return codes
+        mag = np.abs(g, out=g)
+        mag[self.used] = 0.0  # leaves the atoms outside U
+        m = np.where(sure, np.maximum.reduce(mag, axis=0), np.inf)
+        pos = np.maximum(self.where[rows], 0)  # any place in U, for no bound
+        if whole:
+            self.r_ref, self.m, self.ref_norm, self.pos = r, m, np.sqrt(2.0 * data), pos
+        else:
+            self.r_ref[:, redo], self.m[redo], self.pos[:, redo] = r_sub, m, pos
+            self.ref_norm[redo] = np.sqrt(2.0 * data[redo])
+        return codes
+
+    def _grow(self, atoms: np.ndarray) -> None:
+        self.inside[atoms] = True
+        self.where[atoms] = np.arange(self.used.size, self.used.size + atoms.size)
+        self.used = np.concatenate((self.used, atoms))
+        if 2 * self.used.size >= self.inside.size:  # from now on the dense step
+            self.dense, self.d_used, self.r_ref = True, None, None
+        else:
+            self.d_used = np.concatenate((self.d_used, self.d[:, atoms]), axis=1)
+
+
 def _descend(d: np.ndarray, projector, a: np.ndarray, cfg: SolverConfig,
              mu: float, stop_consistency: Union[float, np.ndarray, None] = None,
              homotopy: Optional[tuple] = None):
@@ -248,10 +407,11 @@ def _descend(d: np.ndarray, projector, a: np.ndarray, cfg: SolverConfig,
     iteration, per-column flags "last stage ended by its test" and the
     final data terms.
 
-    On small batches the loop is bound by Python overhead, so the
-    regulariser (synthesis, prox, penalty) is resolved once, the schedule
-    is one array, reductions call the ufuncs directly and the iteration
-    cap is tested only once some column can reach it.
+    Top-K steps go through _TopKScreen.  On small batches the loop is bound
+    by Python overhead, so the regulariser (synthesis, step, penalty) is
+    resolved once, the schedule is one array, reductions call the ufuncs
+    directly and the iteration cap is tested only once some column can
+    reach it.
     """
     reg = cfg.regularizer
     add, every_of, any_of = np.add.reduce, np.logical_and.reduce, np.logical_or.reduce
@@ -261,12 +421,9 @@ def _descend(d: np.ndarray, projector, a: np.ndarray, cfg: SolverConfig,
         0.0, 0.0, np.arange(t_count)), dtype=float)
     decay, log = homotopy or (None, None)
     stop_each_iteration = stop_consistency is not None and log is None
-    rows = np.tile(np.arange(getattr(reg, "k", 0))[:, None], t_count)  # top-K's candidate rows
     shrink = isinstance(reg, L1)  # not "l1": the stage-end block binds that name
     synth = np.matmul if shrink else _synth_used
-
-    def prox(g):  # top-K's rows becomes the rows kept
-        return prox_l1(g, threshold) if shrink else prox_l0_topk(g, reg.k, rows)
+    screen = None if shrink else _TopKScreen(d, reg.k, mu, a)
 
     r, data, f = _evaluate(d, projector, a, synth, lam if shrink else None)
     out, final, stopped = a, np.empty(t_count), np.empty(t_count, bool)
@@ -292,15 +449,20 @@ def _descend(d: np.ndarray, projector, a: np.ndarray, cfg: SolverConfig,
                     return out, np.array(totals), stopped, final
                 frozen += float(add(f[ended]))
                 keep = (~ended).nonzero()[0]
-                a, r, f, data, sched, rows = (x[..., keep] for x in (a, r, f, data, sched, rows))
+                a, r, f, data, sched = (x[..., keep] for x in (a, r, f, data, sched))
                 lam, stop, stage, begin, cols = sched
                 projector = projector.columns(keep)
+                if screen is not None:
+                    screen.columns(keep)
             threshold, cap_at = lam * mu, np.minimum.reduce(begin) + cfg.max_iters
         k += 1
-        g = d.T @ r
-        g *= mu
-        g += a
-        a_new = prox(g)
+        if shrink:
+            g = d.T @ r
+            g *= mu
+            g += a
+            a_new = prox_l1(g, threshold)
+        else:
+            a_new = screen.step(a, r, data)
         r, data, f_new = _evaluate(d, projector, a_new, synth, lam if shrink else None)
         total = float(add(f_new))
         if not total < np.inf:  # every term is >= 0: NaN or inf in one reaches the sum

@@ -287,17 +287,21 @@ class TestErrors:
 
 @pytest.mark.parametrize("args, shown", [
     (["synth", "--count", "2", "--epsilon", "inf"],
-     "epsilon must be a scalar or 1-d, finite and positive, got inf in column 0"),
+     "epsilon must be a scalar or 1-d, finite and positive, got inf"),
+    (["synth", "--count", "2", "--epsilon", "0"],
+     "epsilon must be a scalar or 1-d, finite and positive, got 0.0"),
     (["synth", "--count", "2", "--lambda", "nan"],
      "lam must be a scalar or 1-d, finite and >= 0, got nan"),
+    (["declip", "VOICE", "--lambda", "-1"],
+     "lam must be a scalar or 1-d, finite and >= 0, got -1.0"),
     (["synth", "--count", "2", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["declip", "NOT_WAV"], "NOT_WAV: not a complete RIFF/WAVE file"),
     (["declip", "VOICE", "--overlap", "1.5"], "overlap must lie in [0, 1), got 1.5"),
     (["declip", "VOICE", "-K", "0"], "sparsity must be in [1, 512], got 0"),
     (["dequant", "VOICE", "--bits", "0"], "bits must be in [1, 16], got 0"),
     (["declip", "VOICE", "--frame", "0"], "frame_len must be positive"),
-], ids=["epsilon-inf", "lambda-nan", "seed-negative", "not-a-wav", "overlap-1.5", "k-zero",
-        "bits-zero", "frame-zero"])
+], ids=["epsilon-inf", "epsilon-zero", "lambda-nan", "lambda-negative", "seed-negative",
+        "not-a-wav", "overlap-1.5", "k-zero", "bits-zero", "frame-zero"])
 def test_bad_invocation_is_one_error_line(voice_wav, tmp_path, capsys, args, shown):
     not_wav = tmp_path / "notawav.wav"
     not_wav.write_text("hello")
@@ -306,7 +310,7 @@ def test_bad_invocation_is_one_error_line(voice_wav, tmp_path, capsys, args, sho
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     shown = shown.replace("NOT_WAV", str(not_wav))
-    assert len(err) == 1 and err[0].startswith("error: ") and shown in err[0]
+    assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(shown)
 
 
 class TestMethodList:

@@ -252,6 +252,33 @@ class TestLearn:
                      (got[2].after_dict, want[2].after_dict)):
             np.testing.assert_allclose(g, w, rtol=1e-12)
 
+    @pytest.mark.parametrize("reg", [L0(2), L1(1e-2)], ids=["top-k", "l1"])
+    def test_after_dict_is_the_next_coding_calls_first_objective(self, monkeypatch, reg):
+        # the kernel's first evaluation is the objective after the update,
+        # so only the last update is evaluated apart
+        rng = np.random.default_rng(23)
+        train, _, _ = _training_set(rng, m=48, t=10)
+        cfg = DictLearnConfig(inner_code=SolverConfig(reg, max_iters=10),
+                              outer_iters=4, inner_dict_iters=5)
+        updates, evaluations = [], []
+        update, evaluate = nlcs.dictlearn.dict_update, nlcs.dictlearn._evaluate
+
+        def recording_update(d, codes, *args):
+            new = update(d, codes, *args)
+            updates.append((new, codes.copy()))
+            return new
+
+        monkeypatch.setattr(nlcs.dictlearn, "dict_update", recording_update)
+        monkeypatch.setattr(nlcs.dictlearn, "_evaluate",
+                            lambda *args: evaluations.append(1) or evaluate(*args))
+        _, _, trace = learn(train, dct_dictionary(8, 48), cfg)
+        assert len(evaluations) == 1 and len(trace.after_dict) == 4
+        synth = nlcs.solvers._synth_used if isinstance(reg, L0) else np.matmul
+        lam = getattr(reg, "lam", None)
+        for after, (d, codes) in zip(trace.after_dict, updates):
+            want = evaluate(d, train.projector, codes, synth, lam)[2]
+            assert after == float(np.add.reduce(want))
+
     def test_block_descent_on_clipped_data(self):
         rng = np.random.default_rng(8)
         train, _, _ = _training_set(rng)

@@ -776,3 +776,179 @@ class TestWarmTopKSupport:
             assert_bitwise_equal(g, w)
         assert got[2].after_coding == want[2].after_coding
         assert got[2].after_dict == want[2].after_dict
+
+
+def _certify_none(self, a, r, data):
+    """The screen with its certificate off: every step is the full product."""
+    return np.zeros(r.shape[1], bool), None, None
+
+
+class TestTopKScreen:
+    """Top-K steps multiply only the atoms in use where a residual bound
+    proves a column's support; the same kernel with the certificate off is
+    the unscreened reference."""
+
+    def _problem(self, rng, model, n=32, m=256, t=24, k=4):
+        d = rng.standard_normal((n, m))
+        d /= np.linalg.norm(d, axis=0)
+        observations = []
+        for _ in range(t):
+            x = d[:, rng.choice(m, size=k, replace=False)] @ rng.standard_normal(k)
+            observations.append(apply_measurement(model, x / np.abs(x).max()))
+        y = np.stack([o.values for o in observations], axis=1)
+        return d, observations, prox_l0_topk(_resolve_step(d) * (d.T @ y), k)
+
+    def _descend_both(self, monkeypatch, d, projector, a0, cfg, stop=None):
+        """(screened result, reference result, per-iteration supports of
+        each, per-step certified masks of the screened run)."""
+        runs = []
+        for certify in (None, _certify_none):
+            supports, held = [], []
+            with monkeypatch.context() as mp:
+                mp.setattr(nlcs.solvers, "_synth_used",
+                           lambda d, a: supports.append(a != 0.0) or _synth_used(d, a))
+                screen_certify = certify or nlcs.solvers._TopKScreen._certify
+
+                def recording(self, a, r, data):
+                    result = screen_certify(self, a, r, data)
+                    held.append(result[0])
+                    return result
+
+                mp.setattr(nlcs.solvers._TopKScreen, "_certify", recording)
+                result = _descend(d, projector, a0.copy(), cfg, _resolve_step(d), stop)
+            runs.append((result, supports, held))
+        (got, got_supports, held), (want, want_supports, none_held) = runs
+        assert not any(h.any() for h in none_held)
+        return got, want, got_supports, want_supports, held
+
+    @pytest.mark.parametrize("family", ["clip", "quant", "onebit"])
+    def test_matches_the_unscreened_kernel(self, monkeypatch, family):
+        rng = np.random.default_rng(60)
+        model = {"clip": Clip(0.4, -0.4), "quant": uniform_quantizer_for_bits(4),
+                 "onebit": OneBit()}[family]
+        d, observations, a0 = self._problem(rng, model)
+        got, want, got_supports, want_supports, held = self._descend_both(
+            monkeypatch, d, batch_projector(observations), a0,
+            SolverConfig(L0(4), max_iters=60))
+        assert len(got_supports) == len(want_supports) == 61
+        for g, w in zip(got_supports, want_supports):
+            assert np.array_equal(g, w)
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got[3], want[3], rtol=1e-9, atol=1e-300)
+        assert np.array_equal(got[2], want[2])
+        assert np.concatenate(held).mean() > 0.5  # the screen did hold most columns
+
+    def test_columns_leaving_keep_the_state_aligned(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        d, observations, a0 = self._problem(rng, uniform_quantizer_for_bits(8), t=30)
+        widths = []
+        projector = _CountingProjector(batch_projector(observations), widths)
+        stop = np.full(30, 0.45)  # reached at various iterations, or never
+        compactions, columns = [], nlcs.solvers._TopKScreen.columns
+        fields = ("rows", "pos", "m", "ref_norm", "r_ref")
+
+        def checked(screen, keep):  # each kept column's state moves with it
+            before = [getattr(screen, f).copy() for f in fields]
+            columns(screen, keep)
+            for f, x in zip(fields, before):
+                assert_bitwise_equal(getattr(screen, f), x[..., keep])
+            compactions.append(keep.size)
+
+        monkeypatch.setattr(nlcs.solvers._TopKScreen, "columns", checked)
+        got, want, got_supports, want_supports, held = self._descend_both(
+            monkeypatch, d, projector, a0, SolverConfig(L0(4), max_iters=60), stop)
+        assert len(set(widths)) >= 3 and widths[-1] < 30  # columns left more than once
+        assert len(compactions) == len(widths)
+        assert len(got_supports) == len(want_supports)
+        for g, w in zip(got_supports, want_supports):
+            assert np.array_equal(g, w)
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0.0)
+        assert np.array_equal(got[2], want[2])
+        after = [h for h in held if h.size < 30]
+        assert after and np.concatenate(after).mean() > 0.5  # held after leaving, too
+
+    def _screen_after_one_step(self, rng):
+        """A screen whose three columns hold the supports {0, 1}, {2, 3} and
+        {0, 1} (so U = {0, 1, 2, 3}) and have a bound, and the codes and
+        residual of that step.  Atoms 0-15 are the unit vectors, and column
+        1's residual makes atom 0 its runner-up: 8 against 10."""
+        d = np.hstack((np.eye(16), rng.standard_normal((16, 16))))
+        d /= np.linalg.norm(d, axis=0)
+        a = np.zeros((32, 3))
+        a[:2, [0, 2]] = a[2:4, 1] = 10.0
+        screen = nlcs.solvers._TopKScreen(d, 2, 0.5, a)
+        r = 1e-3 * rng.standard_normal((16, 3))
+        r[0, 1] = 16.0
+        new = screen.step(a, r, 0.5 * np.sum(r * r, axis=0))
+        assert np.array_equal(new != 0.0, a != 0.0)
+        assert np.all(screen.m < np.inf) and screen.m[1] < 6.0  # every column has a bound
+        return d, screen, new, r
+
+    @pytest.mark.parametrize("atom, push", [(0, 6.0), (10, 30.0)], ids=["in U", "outside U"])
+    def test_an_atom_that_overtakes_the_support_enters(self, atom, push):
+        # in U the exact g on U shows it; outside U only the residual bound can
+        rng = np.random.default_rng(62)
+        d, screen, a, r = self._screen_after_one_step(rng)
+        assert screen.inside[atom] == (atom == 0)
+        r = r.copy()
+        r[atom, 1] += push  # atom's g in column 1 now reaches 11 or 15
+        data = 0.5 * np.sum(r * r, axis=0)
+        held = screen._certify(a, r, data)[0]
+        assert held.tolist() == [True, False, True]
+        new = screen.step(a, r, data)
+        g = a + 0.5 * (d.T @ r)
+        np.testing.assert_allclose(new, prox_l0_topk(g, 2), rtol=1e-12, atol=0.0)
+        assert new[atom, 1] != 0.0 and screen.inside[atom]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_nonfinite_residual_certifies_no_column(self, bad):
+        rng = np.random.default_rng(63)
+        _, screen, a, r = self._screen_after_one_step(rng)
+        data = 0.5 * np.sum(r * r, axis=0)
+        assert screen._certify(a, r, data)[0].all()  # the same residual holds
+        r = r.copy()
+        r[3, 1] = bad
+        with np.errstate(invalid="ignore"):
+            held = screen._certify(a, r, 0.5 * np.sum(r * r, axis=0))[0]
+        assert held.tolist() == [True, False, True]
+        r[5] = bad
+        with np.errstate(invalid="ignore"):
+            assert not screen._certify(a, r, 0.5 * np.sum(r * r, axis=0))[0].any()
+
+    def test_half_the_atoms_in_use_take_the_dense_step_bitwise(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        d, observations, a0 = self._problem(rng, Clip(0.4, -0.4), m=64, t=30)
+        assert 2 * np.count_nonzero(a0.any(axis=1)) >= 64
+        projector, cfg = batch_projector(observations), SolverConfig(L0(4), max_iters=40)
+        got, want, _, _, held = self._descend_both(monkeypatch, d, projector, a0, cfg)
+        assert held == []  # the dense step never asks for a certificate
+        for g, w in zip(got, want):
+            assert_bitwise_equal(g, w)
+
+    def test_u_grows_to_half_the_atoms_and_goes_dense(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        d, observations, _ = self._problem(rng, Clip(0.4, -0.4), m=64, t=30)
+        screens = []
+        init = nlcs.solvers._TopKScreen.__init__
+        monkeypatch.setattr(nlcs.solvers._TopKScreen, "__init__",
+                            lambda self, *args: screens.append(self) or init(self, *args))
+        _descend(d, batch_projector(observations), np.zeros((64, 30)),
+                 SolverConfig(L0(4), max_iters=40), _resolve_step(d))
+        (screen,) = screens
+        assert screen.dense and 2 * screen.used.size >= 64 and screen.d_used is None
+
+    def test_a_warm_start_seeds_the_candidate_rows(self, monkeypatch):
+        rng = np.random.default_rng(66)
+        d, observations, a0 = self._problem(rng, Clip(0.4, -0.4))
+        projector, cfg = batch_projector(observations), SolverConfig(L0(4), max_iters=30)
+        warm = _descend(d, projector, a0.copy(), cfg, _resolve_step(d))[0]
+        selected, full = [], nlcs.linops._topk_keep
+        monkeypatch.setattr(nlcs.linops, "_topk_keep",
+                            lambda v, k: selected.append(v.shape[1]) or full(v, k))
+        once = replace(cfg, max_iters=1)
+        a1 = _descend(d, projector, warm.copy(), once, _resolve_step(d))[0]
+        assert sum(selected) < len(observations) / 2  # the first step held most columns
+        rows = np.tile(np.arange(4)[:, None], len(observations))  # the old seed
+        z = _synth_used(d, warm)
+        g = warm + _resolve_step(d) * (d.T @ (projector.project(z) - z))
+        assert_bitwise_equal(a1, prox_l0_topk(g, 4, rows))
