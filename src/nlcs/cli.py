@@ -252,9 +252,11 @@ def _level(cfg: RunConfig, kind: str):
     return values[0]
 
 
-def _load_dict(cfg: RunConfig, frame_len: int) -> np.ndarray:
+def _load_dict(cfg: RunConfig, frame_len: int) -> Optional[np.ndarray]:
+    """The --dict file's dictionary, or None for the DCT, which run_audio
+    builds once the input has been framed."""
     if cfg.dict == "dct":
-        return dct_dictionary(frame_len, 2 * frame_len)
+        return None
     if cfg.dict.startswith("file:"):
         d = load_dictionary(cfg.dict[5:])
         if d.shape[0] != frame_len:
@@ -296,7 +298,7 @@ def _rows(cfg: RunConfig, results) -> List[EvalRow]:
 
 def cmd_audio(cfg: RunConfig, task: str) -> int:
     methods = [m.strip() for m in cfg.method.split(",") if m.strip()]
-    check_methods(methods, cfg.learn)  # before anything is read or solved
+    check_methods(methods, cfg.learn, task)  # before anything is read or solved
     if cfg.detect and cfg.theta:
         raise ValueError("--detect reads the clip level from the input; drop --theta")
     level = None if cfg.detect and task == "declip" else _level(cfg, AUDIO_TASKS[task])
@@ -341,8 +343,9 @@ def cmd_learn_dict(cfg: RunConfig) -> int:
     samples, _ = wav_read(cfg.input)
     model, _ = distortion(cfg.distortion, _level(cfg, cfg.distortion))
     observations, _ = frame_observations(samples, FrameSpec(cfg.frame, cfg.overlap), model)
-    d, _, trace = learn_dictionary(_load_dict(cfg, cfg.frame), observations,
-                                   _solve_params(cfg))
+    d0 = _load_dict(cfg, cfg.frame)
+    d, _, trace = learn_dictionary(dct_dictionary(cfg.frame, 2 * cfg.frame) if d0 is None
+                                   else d0, observations, _solve_params(cfg))
     out = cfg.out or "dictionary.nlcsdict"
     save_dictionary(out, d)
     _progress(f"wrote {out} (final objective {trace.after_dict[-1]:.6g})"

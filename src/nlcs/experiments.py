@@ -194,15 +194,22 @@ def _synth_estimates(d, observations, methods, task, params: SolveParams) -> Lis
     return [_estimate(d, codes[:, i * t:(i + 1) * t], obs) for i, (obs, _) in enumerate(sets)]
 
 
-def check_methods(methods: Sequence[str], learn: bool = False) -> None:
-    """Reject an unknown method, a repeated one or an empty list, and with
-    learn (dictionary learning) the l1 coders fixed and adaptive."""
+def check_methods(methods: Sequence[str], learn: bool = False,
+                  task: Optional[str] = None) -> None:
+    """Reject an unknown method, a repeated one or an empty list, and the l1
+    coders fixed and adaptive with learn (dictionary learning) or for the
+    onebit task."""
     for i, method in enumerate(methods or [""]):
         if method not in METHODS or method in methods[:i]:
             raise ValueError(f"method {method!r} is listed twice" if method in METHODS else
                              f"unknown method {method!r} (choose from {','.join(METHODS)})")
-    if learn and {"fixed", "adaptive"} & set(methods):
+    l1 = [m for m in methods if m in ("fixed", "adaptive")]
+    if learn and l1:
         raise ValueError("dictionary learning is only wired to the iht coder")
+    if task == "onebit" and l1:
+        # the origin is in every 1-bit feasible set, so a = 0 is the unique minimiser
+        raise ValueError(f"method {l1[0]!r} does not apply to onebit: l1 codes collapse to "
+                         "zero on sign data (F(0) = 0 < lam ||a||_1 <= F(a) for a != 0)")
 
 
 def run_synth(spec: SyntheticSpec, kind: str, levels: Sequence,
@@ -330,7 +337,7 @@ def run_audio(task: str, samples: np.ndarray, frame_spec: FrameSpec,
     """
     if task not in AUDIO_TASKS:
         raise ValueError(f"unknown task {task!r}")
-    check_methods(methods, learn_dict)
+    check_methods(methods, learn_dict, task)
     t0 = time.perf_counter()
     model, tag = distortion(AUDIO_TASKS[task], level)
     observations, peak = frame_observations(samples, frame_spec, model)
@@ -354,8 +361,7 @@ def run_audio(task: str, samples: np.ndarray, frame_spec: FrameSpec,
         elif learn_dict:  # the iht coder, as check_methods allows
             d, codes, _ = learn_dictionary(d, obs, params)
         else:
-            codes = _solve(d, obs, method, params,
-                           classical_start=method == "iht" or task == "onebit")
+            codes = _solve(d, obs, method, params, classical_start=method == "iht")
         estimate = overlap_add(_estimate(d, codes, obs), frame_spec, len(samples))
         runtime = setup + time.perf_counter() - t0
         snr = None if reference is None else (

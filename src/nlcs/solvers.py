@@ -25,7 +25,8 @@ taken on U, the atoms any column has used in the solve, while each column
 keeps a residual bound for the atoms outside U: a column whose support is
 still the strict top-K of g on U, above that bound, provably keeps it and
 needs no product with the other atoms.  Every other column takes the full
-product, and top-K reuses the last support where it still holds.
+product, and keeps its support without a selection where that is still the
+strict top-K of the full g.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .linops import prox_l0_topk, prox_l1, spectral_norm
+from .linops import _topk_keep, prox_l1, spectral_norm
 from .measurements import GeneralLinear, Observation, batch_projector
 
 __all__ = [
@@ -233,53 +234,47 @@ def consistency_level(d: np.ndarray, alpha: np.ndarray, obs: Observation) -> flo
     return _objective_of_one(d, alpha, obs, None)
 
 
-def _code_rows(a: np.ndarray, k: int, rows: np.ndarray) -> np.ndarray:
-    """Per column of the (M, T) codes a: whether it holds exactly k nonzeros,
-    whose rows then replace that column of the (k, T) rows in place."""
-    nonzero = a != 0.0
-    full = np.add.reduce(nonzero, axis=0) == k
-    if full.any():
-        rows[:, full] = np.nonzero(nonzero[:, full].T)[1].reshape(-1, k).T
-    return full
-
-
 class _TopKScreen:
     """The top-K step a <- top_k(a + mu D^T r) on the (M, T) codes of one
     solve, multiplying only the atoms in use where a bound allows.
 
     U, the atoms that some column's code has held in the solve (every
     nonzero of a among them), only grows, and D[:, U] is gathered again
-    only when it does.  A column's candidate S holds the rows of its code
-    when that has exactly k nonzeros.  From its last full product the
-    column keeps the residual r_ref and m, the largest |g_j| over the atoms
-    j outside U (mu |d_j^T r_ref|, as a_j = 0 there).  An iteration
-    computes g on U alone, and column t keeps S with the values g_S when
+    only when it does.  Each column keeps a candidate support S, k distinct
+    rows: a warm start's when its code has exactly k nonzeros.  From its
+    last full step the column keeps the residual r_ref and m, the largest
+    |g_j| over the atoms j outside U (mu |d_j^T r_ref|, as a_j = 0 there),
+    when the k values kept there are all nonzero (else it has no bound).
+    An iteration computes g on U alone, and column t keeps S with the
+    values g_S when
 
         min_S |g| > max(max_(U - S) |g|, (m + mu ||d||_max ||r - r_ref||) (1 + 1e-9)
                         + mu ||d||_max tol (||r|| + ||r_ref||)),
 
     tol = 4 N eps covering the rounding of both products: S is then the
-    strict top-K of the full g, which prox_l0_topk's held path returns as
-    it is.  NaN or inf fails the test.  Every other column takes the full
-    product and prox_l0_topk with S as its candidate, and refreshes r_ref,
-    m and S from its new code; so does every column when fewer than half
-    hold.  Once U covers half the atoms every step is the dense one, as in
-    _synth_used.
+    strict top-K of the full g.  NaN or inf fails the test.
+
+    Every other column takes the one full step, _select: the full product,
+    then S kept as it is where it is still the strict top-K of g (its unique
+    top-K, so bit for bit the selection's), and the selection's rows as the
+    new S elsewhere (ties, NaN, zeros, a moved support).  The full step
+    serves every column when fewer than half hold, and every step once U
+    covers half the atoms (the dense step, as in _synth_used).
     """
 
     def __init__(self, d: np.ndarray, k: int, mu: float, a: np.ndarray):
         n, m_atoms = d.shape
         t_count = a.shape[1]
         self.d, self.k, self.mu = d, k, mu
+        nonzero = a != 0.0
+        full = np.add.reduce(nonzero, axis=0) == k  # a warm start's supports
         self.rows = np.tile(np.arange(k)[:, None], t_count)  # S, per column
-        _code_rows(a, k, self.rows)  # a warm start's supports
-        self.inside = a.any(axis=1)  # U as a mask
-        self.used = np.flatnonzero(self.inside)  # U, in the order atoms joined
+        self.rows[:, full] = np.nonzero(nonzero[:, full].T)[1].reshape(-1, k).T
+        self.used = np.flatnonzero(a.any(axis=1))  # U, in the order atoms joined
         self.dense = 2 * self.used.size >= m_atoms
-        self.where = np.full(m_atoms, -1)  # an atom's place in U
+        self.where = np.full(m_atoms, -1)  # an atom's place in U, -1 outside
         self.where[self.used] = np.arange(self.used.size)
         self.d_used = d[:, self.used]
-        self.pos = np.zeros((k, t_count), dtype=np.intp)  # S's places in U
         self.m, self.ref_norm = np.full(t_count, np.inf), np.zeros(t_count)  # inf: no bound
         self.r_ref = None  # may share the kernel's residual array, which it never writes
         self.reach = mu * float(np.max(np.linalg.norm(d, axis=0)))
@@ -287,24 +282,23 @@ class _TopKScreen:
 
     def columns(self, keep: np.ndarray) -> None:
         """Keep the per-column state of the columns still running."""
-        self.rows, self.pos = self.rows[:, keep], self.pos[:, keep]
-        self.m, self.ref_norm = self.m[keep], self.ref_norm[keep]
+        self.rows, self.m, self.ref_norm = self.rows[:, keep], self.m[keep], self.ref_norm[keep]
         if self.r_ref is not None:
             self.r_ref = self.r_ref[:, keep]
 
     def step(self, a: np.ndarray, r: np.ndarray, data: np.ndarray) -> np.ndarray:
         """The new codes from the codes a, their residual r and data terms."""
-        if self.dense:  # S becomes the rows kept
-            return prox_l0_topk(self._gradient(a, r), self.k, self.rows)
-        held, g_used, at = self._certify(a, r, data)
-        if 2 * np.count_nonzero(held) < held.size:  # gathering the rest would cost more
+        if not self.dense:
+            held, g_used, at = self._certify(a, r, data)
+        if self.dense or 2 * np.count_nonzero(held) < held.size:  # gathering the rest costs more
             return self._select(a, r, data)
         out = np.zeros(a.shape)
         h = np.flatnonzero(held)
         out.reshape(-1)[self.rows[:, h] * a.shape[1] + h] = g_used.reshape(-1)[at[:, h]]
         del g_used, at  # free them before the full step
         if h.size < held.size:
-            self._select(a, r, data, np.flatnonzero(~held), out)
+            redo = np.flatnonzero(~held)
+            out[:, redo] = self._select(a, r, data, redo)
         return out
 
     def _gradient(self, a, r):
@@ -320,7 +314,8 @@ class _TopKScreen:
         m = self.m
         if not np.logical_or.reduce(m < np.inf):
             return np.zeros(m.shape, bool), None, None
-        at = self.pos * m.size + np.arange(m.size)
+        # S's places in g: a column with a bound has S in U, one without reads any place
+        at = np.maximum(self.where[self.rows], 0) * m.size + np.arange(m.size)
         g = self.d_used.T @ r
         g *= self.mu
         g += a[self.used]
@@ -334,56 +329,55 @@ class _TopKScreen:
         high = np.maximum.reduce(mag.reshape(g.shape), axis=0)
         return (low > high) & (low > bound), g, at
 
-    def _select(self, a, r, data, redo=None, out=None):
-        """The full step on the columns redo, which then refresh their
-        candidate, bound and reference residual; their codes go into those
-        columns of the zeros out.  redo None: every column, into new codes."""
+    def _moved(self, g, rows):
+        """The columns of g whose S (the (k, T) rows) is not its strict
+        top-K: its smallest magnitude does not beat the largest outside."""
+        mag = np.abs(g)
+        cols = np.arange(g.shape[1])
+        low = np.minimum.reduce(mag[rows, cols], axis=0)
+        mag[rows, cols] = -np.inf
+        return np.flatnonzero(~(low > np.maximum.reduce(mag, axis=0)))  # NaN fails too
+
+    def _select(self, a, r, data, redo=None):
+        """The full step on the columns redo (None: every column), which
+        then refresh S, their bound and their reference residual; returns
+        their codes."""
         whole = redo is None
         r_sub = r if whole else r[:, redo]
         g = self._gradient(a if whole else a[:, redo], r_sub)
         rows = self.rows if whole else self.rows[:, redo]
-        codes = prox_l0_topk(g, self.k, rows)
-        # the new S, from the codes: rows as written back where its k entries
-        # are all nonzero, else read off the code, when it has k nonzeros
-        n = codes.shape[1]
-        sure = np.logical_and.reduce(codes[rows, np.arange(n)] != 0.0, axis=0)
-        odd = np.flatnonzero(~sure)
-        if odd.size:
-            odd_rows = rows[:, odd]
-            sure[odd] = _code_rows(codes[:, odd], self.k, odd_rows)
-            rows[:, odd] = odd_rows
-            odd = np.flatnonzero(~sure)
-        if not whole:  # a sure column's code is its k entries on rows
-            kept = rows[:, sure]
-            out.reshape(-1)[kept * out.shape[1] + redo[sure]] = \
-                codes.reshape(-1)[kept * n + np.flatnonzero(sure)]
-            out[:, redo[odd]] = codes[:, odd]
+        moved = self._moved(g, rows)
+        if moved.size:
+            keep = _topk_keep(g if moved.size == g.shape[1] else g[:, moved], self.k)
+            rows[:, moved] = np.nonzero(keep.T)[1].reshape(-1, self.k).T
+        if not whole:
             self.rows[:, redo] = rows
-        fresh = np.zeros(self.inside.shape, bool)
-        fresh[rows[:, sure]] = True
-        if odd.size:
-            fresh |= codes[:, odd].any(axis=1)
-        fresh &= ~self.inside
+        cols = np.arange(g.shape[1])
+        values = g[rows, cols]
+        codes = np.zeros(g.shape)
+        codes[rows, cols] = values
+        kept = values != 0.0
+        fresh = np.zeros(self.where.shape, bool)
+        fresh[rows[kept]] = True  # the atoms the codes hold
+        fresh &= self.where < 0
         if fresh.any():
             self._grow(np.flatnonzero(fresh))
         if self.dense:
             return codes
         mag = np.abs(g, out=g)
         mag[self.used] = 0.0  # leaves the atoms outside U
-        m = np.where(sure, np.maximum.reduce(mag, axis=0), np.inf)
-        pos = np.maximum(self.where[rows], 0)  # any place in U, for no bound
+        m = np.where(np.logical_and.reduce(kept, axis=0), np.maximum.reduce(mag, axis=0), np.inf)
         if whole:
-            self.r_ref, self.m, self.ref_norm, self.pos = r, m, np.sqrt(2.0 * data), pos
+            self.r_ref, self.m, self.ref_norm = r, m, np.sqrt(2.0 * data)
         else:
-            self.r_ref[:, redo], self.m[redo], self.pos[:, redo] = r_sub, m, pos
+            self.r_ref[:, redo], self.m[redo] = r_sub, m
             self.ref_norm[redo] = np.sqrt(2.0 * data[redo])
         return codes
 
     def _grow(self, atoms: np.ndarray) -> None:
-        self.inside[atoms] = True
         self.where[atoms] = np.arange(self.used.size, self.used.size + atoms.size)
         self.used = np.concatenate((self.used, atoms))
-        if 2 * self.used.size >= self.inside.size:  # from now on the dense step
+        if 2 * self.used.size >= self.where.size:  # from now on the dense step
             self.dense, self.d_used, self.r_ref = True, None, None
         else:
             self.d_used = np.concatenate((self.d_used, self.d[:, atoms]), axis=1)

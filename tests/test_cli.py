@@ -272,6 +272,28 @@ class TestErrors:
         assert err == [f"error: clip level must be positive, got {float(level)}"]
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", [["declip"], ["baseline", "--reference", "SHORT"],
+                                         ["learn-dict", "--distortion", "clip"]])
+    def test_frame_longer_than_the_input(self, tmp_path, capsys, monkeypatch, command):
+        # reported from the framing, before a dictionary of the frame's size is built
+        import nlcs.cli
+        import nlcs.experiments
+
+        def refuse(*args):
+            raise AssertionError("a dictionary was built before the input was framed")
+
+        monkeypatch.setattr(nlcs.cli, "dct_dictionary", refuse)
+        monkeypatch.setattr(nlcs.experiments, "dct_dictionary", refuse)
+        short = tmp_path / "short.wav"
+        wav_write(short, 0.9 * speech_like_signal(seed=3, seconds=0.1), 16000)
+        args = [str(short) if a == "SHORT" else a for a in command[1:]]
+        out = tmp_path / "o.out"
+        rc = main([command[0], str(short), *args, "--frame", "4096", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: signal of length 1600 is shorter than one frame (4096)"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["declip", "--theta", "0.2,0.4"],
                                          ["dequant", "--bits", "3,4"]])
     def test_several_levels_rejected(self, voice_wav, tmp_path, capsys, command):
@@ -350,6 +372,20 @@ class TestMethodList:
                    "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert not out.exists() and not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("methods, named", [
+        ("fixed", "fixed"), ("adaptive", "adaptive"), ("iht,adaptive,fixed", "adaptive")])
+    def test_onebit_rejects_the_l1_coders(self, voice_wav, tmp_path, capsys, no_solve,
+                                          methods, named):
+        # the origin is consistent with every sign pattern, so l1 codes go to zero
+        out = tmp_path / "o.wav"
+        rc = main(["onebit", voice_wav, "--method", methods, "--reference", voice_wav,
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: method '{named}' does not apply to onebit: l1 codes collapse to zero "
+            "on sign data (F(0) = 0 < lam ||a||_1 <= F(a) for a != 0)"]
         assert not out.exists() and not (tmp_path / "o.csv").exists()
 
 

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-import nlcs.linops
+import nlcs.solvers
 from conftest import assert_bitwise_equal
 from nlcs.linops import dct_dictionary, prox_l0_topk, prox_l1, spectral_norm
+from nlcs.solvers import _TopKScreen
 
 
 class TestDctDictionary:
@@ -300,17 +301,30 @@ def candidates(v, k, rng):
 
 
 class TestProxL0TopKSupport:
-    """A candidate support never changes the result: it is bitwise equal to
-    the stable-sort reference, and the support comes back as the kept rows."""
+    """The top-K screen's full step from any candidate support S is bitwise
+    equal to plain prox_l0_topk, and S comes back as the kept rows."""
+
+    @staticmethod
+    def full_step(v, k, support):
+        """(codes, new S) of the screen's full step on the gradient v, an
+        (M,) v as one column, with the candidate support."""
+        v2 = v.reshape(v.shape[0], -1)
+        m, t = v2.shape
+        screen = _TopKScreen(np.eye(m), k, 1.0, np.zeros((m, t)))
+        screen.rows = np.array(support).reshape(k, t)
+        screen._gradient = lambda a, r: v2.copy()
+        codes = screen._select(np.zeros((m, t)), np.zeros((m, t)), np.zeros(t))
+        return codes.reshape(v.shape), screen.rows.reshape(np.shape(support))
 
     def check(self, v, k, rng):
-        want = topk_by_stable_sort(v, k)
+        want = prox_l0_topk(v, k)
+        assert_bitwise_equal(want, topk_by_stable_sort(v, k))
         for name, cand in candidates(v, k, rng).items():
-            support = np.array(cand)
-            assert_bitwise_equal(prox_l0_topk(v, k, support), want)
+            codes, support = self.full_step(v, k, cand)
+            assert_bitwise_equal(codes, want)
             assert np.array_equal(np.sort(support, axis=0), kept_rows(v, k)), name
-            # the kept rows as the next call's candidate: nothing moves
-            assert_bitwise_equal(prox_l0_topk(v, k, support), want)
+            # the kept rows as the next step's candidate: nothing moves
+            assert_bitwise_equal(self.full_step(v, k, support)[0], want)
 
     @pytest.mark.parametrize("shape", [(7,), (9, 5), (16, 3)])
     def test_integer_values_with_ties(self, shape):
@@ -361,31 +375,14 @@ class TestProxL0TopKSupport:
         v = rng.standard_normal((64, 5))
         support = kept_rows(v, 8)
         selected = []
-        full = nlcs.linops._topk_keep
-        monkeypatch.setattr(nlcs.linops, "_topk_keep",
+        full = nlcs.solvers._topk_keep
+        monkeypatch.setattr(nlcs.solvers, "_topk_keep",
                             lambda u, k: selected.append(u.shape) or full(u, k))
-        assert_bitwise_equal(prox_l0_topk(v, 8, support), topk_by_stable_sort(v, 8))
+        codes, support = self.full_step(v, 8, support)
+        assert_bitwise_equal(codes, prox_l0_topk(v, 8))
         assert selected == []
         v[support[0, 3], 3] = 0.0  # column 3 loses a row of its candidate
-        assert_bitwise_equal(prox_l0_topk(v, 8, support), topk_by_stable_sort(v, 8))
+        codes, support = self.full_step(v, 8, support)
+        assert_bitwise_equal(codes, prox_l0_topk(v, 8))
         assert selected == [(64, 1)]
         assert np.array_equal(np.sort(support, axis=0), kept_rows(v, 8))
-
-    @pytest.mark.parametrize("support, match", [
-        (np.zeros((2, 3), dtype=int), "shape"),            # (k, T) needs T = 4
-        (np.zeros((3, 4), dtype=int), "shape"),            # k + 1 rows
-        (np.array([[0, 1, 2, 3], [1, 2, 3, 4]]).tolist(), "integer array"),
-        (np.array([[0.0, 1, 2, 3], [1, 2, 3, 4]]), "integer array"),
-        (np.array([[0, 1, 2, 3], [1, 2, 3, 4]], dtype=bool), "integer array"),
-        (np.array([[0, 1, 2, 3], [1, 2, 3, 5]]), r"distinct rows in \[0, 5\)"),
-        (np.array([[0, 1, 2, 3], [1, 2, 3, -1]]), r"distinct rows in \[0, 5\)"),
-        (np.array([[0, 1, 2, 3], [1, 2, 2, 4]]), r"distinct rows in \[0, 5\)"),
-    ])
-    def test_rejects_bad_support(self, support, match):
-        v = np.arange(20.0).reshape(5, 4)
-        with pytest.raises(ValueError, match=match):
-            prox_l0_topk(v, 2, support)
-
-    def test_rejects_a_2d_support_for_a_1d_input(self):
-        with pytest.raises(ValueError, match="shape"):
-            prox_l0_topk(np.arange(5.0), 2, np.array([[0], [1]]))

@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import nlcs.linops
 import nlcs.solvers
 from conftest import (
     FAMILIES,
@@ -695,9 +694,9 @@ class TestTopKSynthesis:
                              HomotopyConfig(SolverConfig(L1(1e-2), max_iters=40)))
 
 
-def _full_selection(g, k, rows):
-    """The top-K prox with its candidate ignored: every column is selected."""
-    return prox_l0_topk(g, k)
+def _every_column_moved(self, g, rows):
+    """The screen's candidate test off: a full step selects every column."""
+    return np.arange(g.shape[1])
 
 
 class _CountingProjector:
@@ -715,8 +714,9 @@ class _CountingProjector:
 
 
 class TestWarmTopKSupport:
-    """The kernel hands top-K the last iteration's kept rows; a run forced
-    through the full selection is the reference, bit for bit."""
+    """The screen's full step keeps a column's last support where it is
+    still the strict top-K; a run with that test off, every column
+    selected, is the reference, bit for bit."""
 
     def _problem(self, rng, model, n=32, m=128, t=24, k=4):
         d = rng.standard_normal((n, m))
@@ -732,13 +732,13 @@ class TestWarmTopKSupport:
         iterations) of the warm run, after checking it against the reference."""
         projector, mu = batch_projector(observations), _resolve_step(d)
         a0 = np.zeros((d.shape[1], len(observations)))
-        selected, widths, full = [], [], nlcs.linops._topk_keep
+        selected, widths, full = [], [], nlcs.solvers._topk_keep
         with monkeypatch.context() as mp:
-            mp.setattr(nlcs.linops, "_topk_keep",
+            mp.setattr(nlcs.solvers, "_topk_keep",
                        lambda v, k: selected.append(v.shape[1]) or full(v, k))
             got = _descend(d, _CountingProjector(projector, widths), a0.copy(), cfg, mu, stop)
         with monkeypatch.context() as mp:
-            mp.setattr(nlcs.solvers, "prox_l0_topk", _full_selection)
+            mp.setattr(nlcs.solvers._TopKScreen, "_moved", _every_column_moved)
             want = _descend(d, projector, a0.copy(), cfg, mu, stop)
         for g, w in zip(got, want):  # codes, totals, stopped flags, data terms
             assert_bitwise_equal(g, w)
@@ -770,7 +770,7 @@ class TestWarmTopKSupport:
                               outer_iters=4, inner_dict_iters=5)
         d0 = dct_dictionary(32, 128)
         got = learn(train, d0, cfg)
-        monkeypatch.setattr(nlcs.solvers, "prox_l0_topk", _full_selection)
+        monkeypatch.setattr(nlcs.solvers._TopKScreen, "_moved", _every_column_moved)
         want = learn(train, d0, cfg)
         for g, w in zip(got[:2], want[:2]):
             assert_bitwise_equal(g, w)
@@ -845,7 +845,7 @@ class TestTopKScreen:
         projector = _CountingProjector(batch_projector(observations), widths)
         stop = np.full(30, 0.45)  # reached at various iterations, or never
         compactions, columns = [], nlcs.solvers._TopKScreen.columns
-        fields = ("rows", "pos", "m", "ref_norm", "r_ref")
+        fields = ("rows", "m", "ref_norm", "r_ref")
 
         def checked(screen, keep):  # each kept column's state moves with it
             before = [getattr(screen, f).copy() for f in fields]
@@ -889,7 +889,7 @@ class TestTopKScreen:
         # in U the exact g on U shows it; outside U only the residual bound can
         rng = np.random.default_rng(62)
         d, screen, a, r = self._screen_after_one_step(rng)
-        assert screen.inside[atom] == (atom == 0)
+        assert (screen.where[atom] >= 0) == (atom == 0)
         r = r.copy()
         r[atom, 1] += push  # atom's g in column 1 now reaches 11 or 15
         data = 0.5 * np.sum(r * r, axis=0)
@@ -898,7 +898,7 @@ class TestTopKScreen:
         new = screen.step(a, r, data)
         g = a + 0.5 * (d.T @ r)
         np.testing.assert_allclose(new, prox_l0_topk(g, 2), rtol=1e-12, atol=0.0)
-        assert new[atom, 1] != 0.0 and screen.inside[atom]
+        assert new[atom, 1] != 0.0 and screen.where[atom] >= 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_nonfinite_residual_certifies_no_column(self, bad):
@@ -942,13 +942,12 @@ class TestTopKScreen:
         d, observations, a0 = self._problem(rng, Clip(0.4, -0.4))
         projector, cfg = batch_projector(observations), SolverConfig(L0(4), max_iters=30)
         warm = _descend(d, projector, a0.copy(), cfg, _resolve_step(d))[0]
-        selected, full = [], nlcs.linops._topk_keep
-        monkeypatch.setattr(nlcs.linops, "_topk_keep",
+        selected, full = [], nlcs.solvers._topk_keep
+        monkeypatch.setattr(nlcs.solvers, "_topk_keep",
                             lambda v, k: selected.append(v.shape[1]) or full(v, k))
         once = replace(cfg, max_iters=1)
         a1 = _descend(d, projector, warm.copy(), once, _resolve_step(d))[0]
         assert sum(selected) < len(observations) / 2  # the first step held most columns
-        rows = np.tile(np.arange(4)[:, None], len(observations))  # the old seed
         z = _synth_used(d, warm)
         g = warm + _resolve_step(d) * (d.T @ (projector.project(z) - z))
-        assert_bitwise_equal(a1, prox_l0_topk(g, 4, rows))
+        assert_bitwise_equal(a1, prox_l0_topk(g, 4))
