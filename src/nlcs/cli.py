@@ -23,8 +23,9 @@ from .experiments import (
     SolveParams,
     check_methods,
     distortion,
-    frame_observations,
+    frame_batch,
     learn_dictionary,
+    measure_audio,
     run_audio,
     run_synth,
 )
@@ -342,10 +343,11 @@ def cmd_baseline(cfg: RunConfig) -> int:
 def cmd_learn_dict(cfg: RunConfig) -> int:
     samples, _ = wav_read(cfg.input)
     model, _ = distortion(cfg.distortion, _level(cfg, cfg.distortion))
-    observations, _ = frame_observations(samples, FrameSpec(cfg.frame, cfg.overlap), model)
+    frame_spec = FrameSpec(cfg.frame, cfg.overlap)
+    obs, _ = measure_audio(samples, frame_spec, model)
     d0 = _load_dict(cfg, cfg.frame)
     d, _, trace = learn_dictionary(dct_dictionary(cfg.frame, 2 * cfg.frame) if d0 is None
-                                   else d0, observations, _solve_params(cfg))
+                                   else d0, frame_batch(obs, frame_spec), _solve_params(cfg))
     out = cfg.out or "dictionary.nlcsdict"
     save_dictionary(out, d)
     _progress(f"wrote {out} (final objective {trace.after_dict[-1]:.6g})"

@@ -156,12 +156,15 @@ def dict_update(d: np.ndarray, codes, train: TrainingSet, cfg: DictLearnConfig
 
 
 def learn(train: TrainingSet, d0: np.ndarray, cfg: DictLearnConfig,
-          init_codes=None) -> tuple[np.ndarray, np.ndarray, LearnTrace]:
+          init_codes=None, step=None) -> tuple[np.ndarray, np.ndarray, LearnTrace]:
     """Alternating consistent sparse coding and dictionary updates.
 
-    Codes are warm-started from the previous outer iteration (column t of
-    the returned (M, T) array codes signal t).  Atoms that no training code
-    ever activates are left untouched and reported through a warning.
+    train is a TrainingSet, or a measurements.Batch: learning reads only
+    its projector and its length.  Codes are warm-started from the previous
+    outer iteration (column t of the returned (M, T) array codes signal t).
+    step, when given, is the first coding half step's: 1 / ||d0||_2^2 as
+    its caller has already resolved it.  Atoms that no training code ever
+    activates are left untouched and reported through a warning.
     """
     d = np.asarray(d0, dtype=float)
     norms = np.linalg.norm(d, axis=0)
@@ -176,8 +179,10 @@ def learn(train: TrainingSet, d0: np.ndarray, cfg: DictLearnConfig,
     projector, code = train.projector, cfg.inner_code
     lam = getattr(code.regularizer, "lam", None)  # None: top-K, no penalty
     trace = LearnTrace()
+    step = code.step if code.step is not None else step
     for i in range(cfg.outer_iters):
-        a, totals = _descend(d, projector, a, code, _resolve_step(d, code.step))[:2]
+        a, totals = _descend(d, projector, a, code, _resolve_step(d, step))[:2]
+        step = code.step
         if i:  # the kernel's first objective: the codes on the last update's dictionary
             trace.after_dict.append(float(totals[0]))
         trace.after_coding.append(float(totals[-1]))

@@ -12,13 +12,14 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .dictlearn import DictLearnConfig, TrainingSet, learn
+from .dictlearn import DictLearnConfig, learn
 from .linops import dct_dictionary, prox_l0_topk
 from .measurements import (
+    Batch,
     Clip,
     GeneralQuantizer,
     Identity,
@@ -28,16 +29,15 @@ from .measurements import (
     OneBit,
     UniformQuantizer,
     apply_measurement,
-    batch_projector,
     estimate_clip_model,
 )
 from .pipeline import (
     EvalRow,
     FrameSpec,
     SyntheticSpec,
+    _frames,
     _pad_to_frame_grid,
     angular_snr_db,
-    frame_signal,
     gen_synthetic,
     overlap_add,
     snr_db,
@@ -60,7 +60,8 @@ __all__ = [
     "distortion",
     "run_synth",
     "run_audio",
-    "frame_observations",
+    "measure_audio",
+    "frame_batch",
     "learn_dictionary",
     "AUDIO_TASKS",
 ]
@@ -69,6 +70,7 @@ logger = logging.getLogger(__name__)
 
 AUDIO_TASKS = {"declip": "clip", "dequant": "quant", "onebit": "onebit"}  # task -> kind
 METHODS = ("fixed", "adaptive", "iht", "baseline")
+BLOCK_FRAMES = 256  # audio frames coded at once: peak memory follows the block, not the input
 
 
 @dataclass(frozen=True)
@@ -121,20 +123,22 @@ def _quant_delta(model) -> float:
     raise TypeError(f"not a quantizer model: {model!r}")
 
 
-def _baseline_observations(observations: Sequence[Observation], task: str
+def _baseline_observations(observations: Sequence[Observation], task: str,
+                           n: Optional[int] = None
                            ) -> tuple[List[Observation], Optional[np.ndarray]]:
     """Classical linear treatment of a batch of nonlinear observations.
 
     Returns the substituted observations and, for dequantization, one data
-    term level 0.5 * N * delta_t^2 / 12 per observation at which the solver
+    term level 0.5 * n * delta_t^2 / 12 per observation at which the solver
     should stop (quantization error treated as noise of variance
-    delta_t^2 / 12); a batch may mix quantizers of different steps.
+    delta_t^2 / 12, over the n samples of a coded signal: by default an
+    observation's own); a batch may mix quantizers of different steps.
     """
     if task == "declip":
         return [Observation(o.values, Mask(o.reliable)) for o in observations], None
     if task == "dequant":
         delta = np.array([_quant_delta(o.model) for o in observations])
-        n = observations[0].values.shape[0]
+        n = observations[0].values.shape[0] if n is None else n
         stop = 0.5 * n * delta * delta / 12.0
     elif task == "onebit":
         stop = None
@@ -143,55 +147,57 @@ def _baseline_observations(observations: Sequence[Observation], task: str
     return [Observation(o.values, Identity()) for o in observations], stop
 
 
-def _solve(d, observations, method, params: SolveParams, *,
+def _solve(d, batch: Batch, method, params: SolveParams, *, step: Optional[float] = None,
            classical_start: bool = False, stop: Optional[np.ndarray] = None) -> np.ndarray:
     """Code a batch of observations with one coder call; (M, T) codes.
 
     method picks the coder: fixed-lam l1, the l1 homotopy (adaptive) or
     hard thresholding (iht).  The start is zero or, with classical_start,
     one classical gradient step (top-K thresholded for iht), taken with
-    the coder's own step 1 / ||D||_2^2.  stop holds one data term level per
-    observation: the homotopy's target (params.epsilon when None), else an
-    early stop.
+    the coder's own step, 1 / ||D||_2^2 when None.  stop holds one data
+    term level per observation: the homotopy's target (params.epsilon when
+    None), else an early stop.
     """
-    step = _resolve_step(d)
+    step = _resolve_step(d, step)
     k = params.k if method == "iht" else None
     if classical_start:
-        a0 = _classical_init(d, observations, k, step)
+        a0 = _classical_init(d, batch, k, step)
     else:
-        a0 = np.zeros((d.shape[1], len(observations)))
+        a0 = np.zeros((d.shape[1], len(batch)))
     reg = L1(params.lam) if k is None else L0(k)
     cfg = SolverConfig(reg, step=step, max_iters=params.iters)
     if method == "adaptive":
         eps = params.epsilon if stop is None else stop
         hcfg = HomotopyConfig(cfg, epsilon=eps, decay=params.decay)
-        codes, _ = sparse_code_adaptive(d, observations, a0, hcfg)
+        codes, _ = sparse_code_adaptive(d, batch, a0, hcfg)
     else:
-        codes, _ = sparse_code_fixed(d, observations, a0, cfg, stop_consistency=stop)
+        codes, _ = sparse_code_fixed(d, batch, a0, cfg, stop_consistency=stop)
     return codes
 
 
-def _estimate(d, codes, observations) -> np.ndarray:
+def _estimate(d, codes, batch: Batch) -> np.ndarray:
     """(N, T) final signal estimates: D a re-projected onto the feasibility
     sets, or D a itself for noisy (Identity) and 1-bit observations."""
     z = _synth_used(d, codes)
-    if isinstance(observations[0].model, (Identity, OneBit)):
+    if isinstance(batch.model, (Identity, OneBit)):
         return z
-    return batch_projector(observations).project(z)
+    return batch.projector.project(z)
 
 
 def _synth_estimates(d, observations, methods, task, params: SolveParams) -> List[np.ndarray]:
     """(N, T) final estimates of a batch, one per method: fixed or iht alone, or adaptive
     and baseline in one homotopy call, their observations in the order of methods."""
     if methods[0] in ("fixed", "iht"):
-        codes = _solve(d, observations, methods[0], params, classical_start=methods[0] == "iht")
-        return [_estimate(d, codes, observations)]
+        batch = Batch.of(observations)
+        codes = _solve(d, batch, methods[0], params, classical_start=methods[0] == "iht")
+        return [_estimate(d, codes, batch)]
     t, eps = len(observations), np.full(len(observations), params.epsilon)
     sets = [(observations, eps) if m == "adaptive" else _baseline_observations(observations, task)
             for m in methods]
-    codes = _solve(d, [o for obs, _ in sets for o in obs], "adaptive", params,
+    codes = _solve(d, Batch.of([o for obs, _ in sets for o in obs]), "adaptive", params,
                    stop=np.concatenate([eps if stop is None else stop for _, stop in sets]))
-    return [_estimate(d, codes[:, i * t:(i + 1) * t], obs) for i, (obs, _) in enumerate(sets)]
+    return [_estimate(d, codes[:, i * t:(i + 1) * t], Batch.of(obs))
+            for i, (obs, _) in enumerate(sets)]
 
 
 def check_methods(methods: Sequence[str], learn: bool = False,
@@ -256,32 +262,31 @@ def run_synth(spec: SyntheticSpec, kind: str, levels: Sequence,
 # audio-scale processing
 
 
-def frame_observations(samples: np.ndarray, spec: FrameSpec,
-                       model: Optional[MeasurementModel]
-                       ) -> tuple[List[Observation], float]:
-    """The audio front end: one observation per frame, and the input's peak.
+def measure_audio(samples: np.ndarray, spec: FrameSpec, model: Optional[MeasurementModel]
+                  ) -> tuple[Observation, float]:
+    """The audio front end: the input measured once on the frame grid, and its peak.
 
-    ``samples`` is scaled to unit peak, padded to the frame grid, measured
-    through ``model`` (None: taken as already clipped, with the clip model
-    estimated from the signal) and framed.
+    ``samples`` is scaled to unit peak, padded to the frame grid and
+    measured through ``model`` (None: taken as already clipped, with the
+    clip model estimated from the signal).
     """
     x = np.asarray(samples, dtype=float)
     peak = np.max(np.abs(x))
     if peak == 0.0:
         raise ValueError("input signal is identically zero")
     x_pad = _pad_to_frame_grid(x / peak, spec)
-    obs = estimate_clip_model(x_pad) if model is None else apply_measurement(model, x_pad)
-    y = frame_signal(obs.values, spec)
-    if not isinstance(obs.model, Clip):
-        return [Observation(y[:, j], obs.model) for j in range(y.shape[1])], peak
-    r = frame_signal(obs.reliable, spec)
-    p = frame_signal(obs.clip_pos, spec) & ~r
-    n = ~(r | p)
-    return [Observation(y[:, j], obs.model, reliable=r[:, j], clip_pos=p[:, j],
-                        clip_neg=n[:, j]) for j in range(y.shape[1])], peak
+    return (estimate_clip_model(x_pad) if model is None else apply_measurement(model, x_pad)), peak
 
 
-def _classical_init(d, observations, k: Optional[int],
+def frame_batch(obs: Observation, spec: FrameSpec, cols: slice = slice(None)) -> Batch:
+    """The frames cols of a measured signal on the frame grid as a batch:
+    copies of its values and of its per-sample bounds, taken once per obs."""
+    iv = obs.intervals()
+    return Batch.box(obs.model,
+                     *(_frames(x, spec, cols) for x in (obs.values, iv.lower, iv.upper)))
+
+
+def _classical_init(d, batch: Batch, k: Optional[int],
                     step: Optional[float] = None) -> np.ndarray:
     """One classical gradient step on the raw observation vectors.
 
@@ -290,25 +295,41 @@ def _classical_init(d, observations, k: Optional[int],
     the shrunk consistent point at the inner bin edges.  The step defaults
     to 1 / ||D||_2^2.
     """
-    y = np.stack([o.values for o in observations], axis=1)
-    a0 = _resolve_step(d, step) * (d.T @ y)
+    a0 = _resolve_step(d, step) * (d.T @ batch.values)
     if k is not None:
         a0 = prox_l0_topk(a0, k)
     return a0
 
 
-def learn_dictionary(d, observations, params: SolveParams):
+def learn_dictionary(d, batch: Batch, params: SolveParams, step: Optional[float] = None):
     """Learn a dictionary from d with the iht coder; learn's (d, codes, trace).
 
-    The codes start from _classical_init's step, not from zero.  Coding and
-    each dictionary update take params.inner_iters steps, params.outer_iters
-    times.
+    The codes start from _classical_init's step, not from zero, and the
+    first coding half step shares it (1 / ||d||_2^2, resolved when None).
+    Coding and each dictionary update take params.inner_iters steps,
+    params.outer_iters times.
     """
     cfg = SolverConfig(L0(params.k), max_iters=params.inner_iters)
     dl = DictLearnConfig(inner_code=cfg, outer_iters=params.outer_iters,
                          inner_dict_iters=params.inner_iters)
-    a0 = _classical_init(d, observations, params.k)
-    return learn(TrainingSet(observations), d, dl, init_codes=a0)
+    step = _resolve_step(d, step)
+    a0 = _classical_init(d, batch, params.k, step)
+    return learn(batch, d, dl, init_codes=a0, step=step)
+
+
+def _estimates(d, obs: Observation, spec: FrameSpec, method: str, task: str,
+               params: SolveParams, step: float) -> Iterator[np.ndarray]:
+    """A method's (N, b) estimates of the frames of obs in blocks of
+    BLOCK_FRAMES, in frame order."""
+    stop = None
+    if method == "baseline":  # IHT from zero on the classical substitutes
+        [obs], stop = _baseline_observations([obs], task, spec.frame_len)
+    count = (obs.values.shape[0] - spec.frame_len) // spec.hop + 1  # obs ends on the frame grid
+    for start in range(0, count, BLOCK_FRAMES):
+        batch = frame_batch(obs, spec, slice(start, start + BLOCK_FRAMES))
+        codes = _solve(d, batch, "iht" if method == "baseline" else method, params,
+                       step=step, classical_start=method == "iht", stop=stop)
+        yield _estimate(d, codes, batch)
 
 
 @dataclass
@@ -327,22 +348,27 @@ def run_audio(task: str, samples: np.ndarray, frame_spec: FrameSpec,
               reference: Optional[np.ndarray] = None) -> List[AudioResult]:
     """Frame-based recovery of one distorted signal; one result per method.
 
-    ``samples`` is normalized to unit peak, distorted at ``level`` (see
-    distortion(); for declip, None takes the input as already clipped),
-    framed once for every method, solved per frame and rebuilt by
-    overlap-add.  A result's runtime covers this shared set-up plus its own
-    method's recovery, and its estimate lives in the input's unit-peak
-    domain.  When a reference is given, the summary SNR is computed against
-    the reference rescaled by the input's peak (angular SNR for 1-bit data).
+    ``samples`` is normalized to unit peak and distorted at ``level`` (see
+    distortion(); for declip, None takes the input as already clipped)
+    once for every method, with one step 1 / ||D||_2^2.  A method codes the
+    frames in blocks of BLOCK_FRAMES, each framed from the per-sample
+    bounds and overlap-added into the result before the next, so memory
+    follows the block, not the input; dictionary learning codes every
+    frame as one block, since D couples them.  A result's runtime covers
+    this shared set-up plus its own method's recovery, and its estimate
+    lives in the input's unit-peak domain.  When a reference is given, the
+    summary SNR is computed against the reference rescaled by the input's
+    peak (angular SNR for 1-bit data).
     """
     if task not in AUDIO_TASKS:
         raise ValueError(f"unknown task {task!r}")
     check_methods(methods, learn_dict, task)
     t0 = time.perf_counter()
     model, tag = distortion(AUDIO_TASKS[task], level)
-    observations, peak = frame_observations(samples, frame_spec, model)
+    obs, peak = measure_audio(samples, frame_spec, model)
     if dictionary is None:
         dictionary = dct_dictionary(frame_spec.frame_len, 2 * frame_spec.frame_len)
+    step = _resolve_step(dictionary)
     if reference is not None:
         if np.shape(reference)[0] != len(samples):
             raise ValueError("reference length does not match the input")
@@ -354,15 +380,13 @@ def run_audio(task: str, samples: np.ndarray, frame_spec: FrameSpec,
     results = []
     for method in methods:
         t0 = time.perf_counter()
-        d, obs = dictionary, observations
-        if method == "baseline":  # IHT from zero on the classical substitutes
-            obs, stop = _baseline_observations(observations, task)
-            codes = _solve(d, obs, "iht", params, stop=stop)
-        elif learn_dict:  # the iht coder, as check_methods allows
-            d, codes, _ = learn_dictionary(d, obs, params)
+        if learn_dict and method != "baseline":  # the iht coder, as check_methods allows
+            batch = frame_batch(obs, frame_spec)
+            d, codes, _ = learn_dictionary(dictionary, batch, params, step)
+            estimates = _estimate(d, codes, batch)
         else:
-            codes = _solve(d, obs, method, params, classical_start=method == "iht")
-        estimate = overlap_add(_estimate(d, codes, obs), frame_spec, len(samples))
+            estimates = _estimates(dictionary, obs, frame_spec, method, task, params, step)
+        estimate = overlap_add(estimates, frame_spec, len(samples))
         runtime = setup + time.perf_counter() - t0
         snr = None if reference is None else (
             angular_snr_db if task == "onebit" else snr_db)(estimate, reference)

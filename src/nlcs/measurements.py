@@ -35,6 +35,7 @@ __all__ = [
     "MeasurementModel",
     "IntervalSet",
     "Observation",
+    "Batch",
     "apply_measurement",
     "feasibility_intervals",
     "project",
@@ -460,6 +461,34 @@ def batch_projector(observations: Sequence[Observation]):
         y = np.stack([o.values for o in obs], axis=1)
         return _Projection(project_linear, first.model, y)
     return _Projection(_project_each, np.array(obs, dtype=object))
+
+
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """T observations held column-wise, as the coders take them: the
+    projector of their feasibility sets, the model they were measured
+    through (the first observation's) and, for interval sets, their (N, T)
+    values (None for linear sets, whose projector holds them)."""
+
+    projector: _Projection
+    model: MeasurementModel
+    values: Optional[np.ndarray] = None
+
+    @classmethod
+    def of(cls, observations: Sequence[Observation]) -> "Batch":
+        obs = list(observations)
+        projector = batch_projector(obs)
+        linear = isinstance(obs[0].model, GeneralLinear)
+        return cls(projector, obs[0].model,
+                   None if linear else np.stack([o.values for o in obs], axis=1))
+
+    @classmethod
+    def box(cls, model: MeasurementModel, values, lower, upper) -> "Batch":
+        """The batch of interval observations with (N, T) values and bounds."""
+        return cls(_Projection(_clamp, lower, upper), model, values)
+
+    def __len__(self) -> int:
+        return self.projector.args[-1].shape[-1]  # one column per observation
 
 
 def gradient(obs: Observation, x) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 import wave
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -143,6 +144,12 @@ def _pad_to_frame_grid(x: np.ndarray, spec: FrameSpec) -> np.ndarray:
     return out
 
 
+def _frames(x: np.ndarray, spec: FrameSpec, cols: slice = slice(None)) -> np.ndarray:
+    """The frames cols of a signal that ends on the frame grid, copied out
+    as a (frame_len, frame count) array."""
+    return sliding_window_view(x, spec.frame_len)[:: spec.hop][cols].T.copy()
+
+
 def frame_signal(samples, spec: FrameSpec) -> np.ndarray:
     """Slice a signal into overlapping frames, zero-padding the tail.
 
@@ -153,25 +160,30 @@ def frame_signal(samples, spec: FrameSpec) -> np.ndarray:
     x = np.asarray(samples)
     if x.dtype != bool:
         x = x.astype(float, copy=False)
-    padded = _pad_to_frame_grid(x, spec)
-    return sliding_window_view(padded, spec.frame_len)[:: spec.hop].T.copy()
+    return _frames(_pad_to_frame_grid(x, spec), spec)
 
 
 def overlap_add(frames, spec: FrameSpec, out_len: int) -> np.ndarray:
     """Rebuild a signal by summing frames at their hops and dividing each
-    sample by its coverage count (rectangular windows)."""
-    f = np.asarray(frames, dtype=float)
-    n, count = f.shape
-    if n != spec.frame_len:
-        raise ValueError("frame length does not match the spec")
-    hop = spec.hop
-    total = (count - 1) * hop + n
-    acc = np.zeros(total)
-    cov = np.zeros(total)
-    for j in range(count):
-        acc[j * hop : j * hop + n] += f[:, j]
-        cov[j * hop : j * hop + n] += 1.0
-    return (acc / cov)[:out_len]
+    sample by its coverage count (rectangular windows).
+
+    frames is one (frame_len, count) array, or an iterator of such blocks
+    in frame order that cover out_len samples.  Each block is added as it
+    comes, frame by frame, so only one need exist at a time and the sums
+    are bitwise those of the stacked array.
+    """
+    n, hop = spec.frame_len, spec.hop
+    blocks = frames if isinstance(frames, Iterator) else [np.asarray(frames, dtype=float)]
+    total = out_len + hop if blocks is frames else (blocks[0].shape[1] - 1) * hop + n
+    acc, cov, j = np.zeros(total), np.zeros(total), 0
+    for block in blocks:
+        if block.shape[0] != n:
+            raise ValueError("frame length does not match the spec")
+        for frame in block.T:
+            acc[j * hop : j * hop + n] += frame
+            cov[j * hop : j * hop + n] += 1.0
+            j += 1
+    return acc[:out_len] / cov[:out_len]  # an iterator's acc runs on past its last frame
 
 
 def snr_db(estimate, reference) -> float:
@@ -213,6 +225,8 @@ def wav_read(path) -> tuple[np.ndarray, int]:
             nch = fh.getnchannels()
             rate = fh.getframerate()
             raw = fh.readframes(fh.getnframes())
+        if len(raw) % (2 * nch):  # the data chunk ends inside a sample or a frame
+            raise EOFError
     except EOFError as exc:  # wave reads past the end of a short file
         raise ValueError(f"{path}: not a complete RIFF/WAVE file") from exc
     except wave.Error as exc:

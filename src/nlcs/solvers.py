@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from .linops import _topk_keep, prox_l1, spectral_norm
-from .measurements import GeneralLinear, Observation, batch_projector
+from .measurements import Batch, Observation, batch_projector
 
 __all__ = [
     "L1",
@@ -471,59 +471,58 @@ def _descend(d: np.ndarray, projector, a: np.ndarray, cfg: SolverConfig,
 
 
 def _as_batch(d: np.ndarray, obs, alpha0):
-    """(observations, (M, T) codes, single) from one observation with (M,)
-    codes or a sequence of T observations with (M, T) codes."""
+    """(Batch, (M, T) codes, single) from one observation with (M,) codes,
+    or T observations (a sequence or a Batch) with (M, T) codes."""
     single = isinstance(obs, Observation)
-    observations = [obs] if single else list(obs)
+    batch = obs if isinstance(obs, Batch) else Batch.of([obs] if single else obs)
     a = np.array(alpha0, dtype=float)
     if single:
         if a.ndim != 1 or a.shape[0] != d.shape[1]:
             raise ValueError("alpha0 length must match the dictionary atom count")
         a = a[:, None]
-    elif a.shape != (d.shape[1], len(observations)):
+    elif a.shape != (d.shape[1], len(batch)):
         raise ValueError("alpha0 must have shape (atom_count, observation count)")
     if not np.all(np.isfinite(a)):
         raise ValueError("alpha0 must be finite")
-    return observations, a, single
+    return batch, a, single
 
 
-def sparse_code_fixed(d: np.ndarray, obs: Union[Observation, Sequence[Observation]],
+def sparse_code_fixed(d: np.ndarray, obs: Union[Observation, Sequence[Observation], Batch],
                       alpha0: np.ndarray, cfg: SolverConfig,
                       stop_consistency: Union[float, np.ndarray, None] = None
                       ) -> tuple[np.ndarray, SolveTrace]:
     """Proximal gradient descent at a fixed regularization level.
 
-    Codes one observation from an (M,) start, or a sequence of T
-    observations from an (M, T) start, one column each.  A column iterates
+    Codes one observation from an (M,) start, or T observations (a
+    sequence or a Batch) from an (M, T) start, one column each.  A column iterates
     until its relative objective change drops below cfg.rel_tol, its data
     term drops to stop_consistency (when given: one level, or one per
     column) or cfg.max_iters is hit.
     """
-    observations, a, single = _as_batch(d, obs, alpha0)
-    a, totals, stopped, level = _descend(d, batch_projector(observations), a, cfg,
+    batch, a, single = _as_batch(d, obs, alpha0)
+    a, totals, stopped, level = _descend(d, batch.projector, a, cfg,
                                          _resolve_step(d, cfg.step), stop_consistency)
     return a[:, 0] if single else a, SolveTrace(
         totals, len(totals) - 1, bool(stopped.all()), float(level[0]) if single else level)
 
 
-def _auto_lam0(d: np.ndarray, observations: List[Observation], project_batch) -> np.ndarray:
-    lam = np.max(np.abs(d.T @ project_batch(np.zeros((d.shape[0], len(observations))))),
+def _auto_lam0(d: np.ndarray, batch: Batch) -> np.ndarray:
+    lam = np.max(np.abs(d.T @ batch.projector.project(np.zeros((d.shape[0], len(batch))))),
                  axis=0)
-    if not isinstance(observations[0].model, GeneralLinear):
+    if batch.values is not None:
         # degenerate for one-sided sets (the origin is always feasible for
         # 1-bit data); substitute the raw observation for the projection
-        y = np.stack([o.values for o in observations], axis=1)
-        lam = np.where(lam == 0.0, np.max(np.abs(d.T @ y), axis=0), lam)
+        lam = np.where(lam == 0.0, np.max(np.abs(d.T @ batch.values), axis=0), lam)
     return np.where(lam > 0.0, lam, 1.0)
 
 
-def sparse_code_adaptive(d: np.ndarray, obs: Union[Observation, Sequence[Observation]],
+def sparse_code_adaptive(d: np.ndarray, obs: Union[Observation, Sequence[Observation], Batch],
                          alpha0: np.ndarray, hcfg: HomotopyConfig
                          ) -> tuple[np.ndarray, SolveTrace]:
     """Warm-started homotopy over decreasing lam until consistency <= epsilon.
 
-    Takes one observation with (M,) codes or a sequence of T observations
-    with (M, T) codes; every signal keeps its own lam, and its own epsilon
+    Takes one observation with (M,) codes or T observations (a sequence or
+    a Batch) with (M, T) codes; every signal keeps its own lam, and its own epsilon
     when hcfg.epsilon holds one per column.  Each signal solves to
     convergence at its current lam, then, while its consistency is above
     epsilon, goes on at once from those codes at lam * decay; the whole
@@ -531,17 +530,16 @@ def sparse_code_adaptive(d: np.ndarray, obs: Union[Observation, Sequence[Observa
     consistency target is met, the last iterate is returned with
     converged=False.
     """
-    observations, a, single = _as_batch(d, obs, alpha0)
-    projector = batch_projector(observations)
+    batch, a, single = _as_batch(d, obs, alpha0)
     t_count = a.shape[1]
     if np.ndim(hcfg.epsilon) == 1 and hcfg.epsilon.shape[0] != t_count:
         raise ValueError(f"epsilon holds {hcfg.epsilon.shape[0]} levels for "
                          f"{t_count} observations")
-    lam = (_auto_lam0(d, observations, projector.project) if hcfg.lam0 is None
+    lam = (_auto_lam0(d, batch) if hcfg.lam0 is None
            else np.full(t_count, float(hcfg.lam0)))
     inner = replace(hcfg.inner, regularizer=L1(lam))
     log = np.full((4, hcfg.max_stages, t_count), np.nan)  # lam, level, l1, iterations
-    a, objectives, _, level = _descend(d, projector, a, inner, _resolve_step(d, inner.step),
+    a, objectives, _, level = _descend(d, batch.projector, a, inner, _resolve_step(d, inner.step),
                                        hcfg.epsilon, (hcfg.decay, log))
     ran, l1 = ~np.isnan(log[0]), np.sum(np.abs(a), axis=0)
     view = (lambda x: float(x[0])) if single else (lambda x: x)

@@ -1,5 +1,6 @@
 import runpy
 import sys
+import wave
 
 import numpy as np
 import pytest
@@ -318,20 +319,35 @@ class TestErrors:
      "lam must be a scalar or 1-d, finite and >= 0, got -1.0"),
     (["synth", "--count", "2", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["declip", "NOT_WAV"], "NOT_WAV: not a complete RIFF/WAVE file"),
+    (["declip", "CUT_SAMPLE"], "CUT_SAMPLE: not a complete RIFF/WAVE file"),
+    (["declip", "CUT_FRAME"], "CUT_FRAME: not a complete RIFF/WAVE file"),
     (["declip", "VOICE", "--overlap", "1.5"], "overlap must lie in [0, 1), got 1.5"),
     (["declip", "VOICE", "-K", "0"], "sparsity must be in [1, 512], got 0"),
     (["dequant", "VOICE", "--bits", "0"], "bits must be in [1, 16], got 0"),
     (["declip", "VOICE", "--frame", "0"], "frame_len must be positive"),
 ], ids=["epsilon-inf", "epsilon-zero", "lambda-nan", "lambda-negative", "seed-negative",
-        "not-a-wav", "overlap-1.5", "k-zero", "bits-zero", "frame-zero"])
+        "not-a-wav", "wav-cut-mid-sample", "wav-cut-mid-frame", "overlap-1.5", "k-zero",
+        "bits-zero", "frame-zero"])
 def test_bad_invocation_is_one_error_line(voice_wav, tmp_path, capsys, args, shown):
     not_wav = tmp_path / "notawav.wav"
     not_wav.write_text("hello")
     names = {"VOICE": voice_wav, "NOT_WAV": str(not_wav)}
+    stereo = tmp_path / "stereo.wav"
+    with wave.open(str(stereo), "wb") as fh:
+        fh.setnchannels(2)
+        fh.setsampwidth(2)
+        fh.setframerate(16000)
+        fh.writeframes(bytes(4 * 1000))
+    # a data chunk that ends 3 bytes short stops inside a sample, 2 bytes short inside a frame
+    for name, cut in (("CUT_SAMPLE", 3), ("CUT_FRAME", 2)):
+        names[name] = str(tmp_path / f"{name.lower()}.wav")
+        with open(names[name], "wb") as fh:
+            fh.write(stereo.read_bytes()[:-cut])
     rc = main([names.get(a, a) for a in args] + ["--out", str(tmp_path / "o.out")])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
-    shown = shown.replace("NOT_WAV", str(not_wav))
+    for name in ("NOT_WAV", "CUT_SAMPLE", "CUT_FRAME"):
+        shown = shown.replace(name, names[name])
     assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(shown)
 
 

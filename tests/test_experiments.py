@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import assert_bitwise_equal
 
+import nlcs.experiments
+import nlcs.measurements
+import nlcs.solvers
 from nlcs.cli import main
+from nlcs.dictlearn import DictLearnConfig, learn
 from nlcs.experiments import (
     SolveParams,
     _baseline_observations,
@@ -10,18 +16,35 @@ from nlcs.experiments import (
     _estimate,
     _solve,
     distortion,
+    frame_batch,
+    learn_dictionary,
+    measure_audio,
     run_audio,
     run_synth,
 )
 from nlcs.linops import dct_dictionary
-from nlcs.measurements import Clip, Identity, Mask, OneBit, apply_measurement, batch_projector
+from nlcs.measurements import (
+    Batch,
+    Clip,
+    Identity,
+    Mask,
+    Observation,
+    OneBit,
+    apply_measurement,
+    batch_projector,
+    estimate_clip_model,
+)
 from nlcs.pipeline import (
     FrameSpec,
     SyntheticSpec,
+    _pad_to_frame_grid,
+    frame_signal,
     speech_like_signal,
     uniform_quantizer_for_bits,
+    wav_read,
     wav_write,
 )
+from nlcs.solvers import L0, SolverConfig
 
 PARAMS_SMALL = SolveParams(iters=30, k=32, outer_iters=10, inner_iters=10)
 
@@ -79,7 +102,7 @@ class TestClassicalInit:
         rng = np.random.default_rng(3)
         d = dct_dictionary(64, 128)
         obs = apply_measurement(OneBit(), rng.standard_normal(64))
-        a0 = _classical_init(d, [obs], 16)
+        a0 = _classical_init(d, Batch.of([obs]), 16)
         assert np.count_nonzero(a0) == 16
         assert np.abs(a0).max() > 0
 
@@ -97,13 +120,14 @@ class TestEstimate:
             z = d @ codes
             return z if isinstance(model, OneBit) else batch_projector(observations).project(z)
 
-        codes = _classical_init(d, observations, 8)
+        batch = Batch.of(observations)
+        codes = _classical_init(d, batch, 8)
         assert 2 * np.count_nonzero(codes.any(axis=1)) < 128  # gathered, not dense
-        np.testing.assert_allclose(_estimate(d, codes, observations), dense(codes),
+        np.testing.assert_allclose(_estimate(d, codes, batch), dense(codes),
                                    rtol=1e-12, atol=1e-15)
-        codes = _solve(d, observations, "fixed", PARAMS_SMALL, classical_start=True)
+        codes = _solve(d, batch, "fixed", PARAMS_SMALL, classical_start=True)
         assert 2 * np.count_nonzero(codes.any(axis=1)) >= 128  # dense
-        assert_bitwise_equal(_estimate(d, codes, observations), dense(codes))
+        assert_bitwise_equal(_estimate(d, codes, batch), dense(codes))
 
 
 class TestRunSynth:
@@ -258,27 +282,27 @@ class TestRunAudio:
         for method in ("iht", "fixed", "adaptive", "baseline")
         if task != "onebit" or method in ("iht", "baseline")])  # no l1 coder on signs
     def test_one_spectral_norm_per_solve(self, short_signal, monkeypatch, task, method):
-        # the step 1/||D||^2 is resolved once and shared by the start and
-        # the coder
-        import nlcs.solvers
-
+        # the step 1/||D||^2 is resolved once per command and shared by the
+        # start and the coder of every block: 63 frames, in one block and in 4
         calls = []
         norm = nlcs.solvers.spectral_norm
         monkeypatch.setattr(nlcs.solvers, "spectral_norm",
                             lambda a: calls.append(a.shape) or norm(a))
-        run_audio(task, short_signal[:2048], FrameSpec(64, 0.5), PARAMS_SMALL, [method],
-                  level={"declip": 0.3, "dequant": 3}.get(task))
-        assert calls == [(64, 128)]
+        for block in (nlcs.experiments.BLOCK_FRAMES, 16):
+            monkeypatch.setattr(nlcs.experiments, "BLOCK_FRAMES", block)
+            run_audio(task, short_signal[:2048], FrameSpec(64, 0.5), PARAMS_SMALL, [method],
+                      level={"declip": 0.3, "dequant": 3}.get(task))
+            assert calls == [(64, 128)]
+            calls.clear()
 
     def test_one_framing_serves_every_method(self, short_signal, monkeypatch):
-        # the input is measured and framed once per call, and each method's
-        # estimate is the one it gets when run alone
-        import nlcs.experiments
-
+        # the input is measured once per call, in the front end every
+        # method's blocks are framed from, and each method's estimate is the
+        # one it gets when run alone
         calls = []
-        frame = nlcs.experiments.frame_observations
-        monkeypatch.setattr(nlcs.experiments, "frame_observations",
-                            lambda *a: calls.append(a[2]) or frame(*a))
+        measure = nlcs.experiments.measure_audio
+        monkeypatch.setattr(nlcs.experiments, "measure_audio",
+                            lambda *a: calls.append(a[2]) or measure(*a))
         fs = FrameSpec(256, 0.75)
         methods = ["iht", "fixed", "baseline"]
         results = run_audio("declip", short_signal, fs, PARAMS_SMALL, methods, level=0.3)
@@ -293,6 +317,129 @@ class TestRunAudio:
         with pytest.raises(ValueError):
             run_audio("declip", short_signal, fs, PARAMS_SMALL, ["iht"], level=0.3,
                       reference=short_signal[:-1])
+
+
+def _per_frame_observations(samples, spec, model):
+    """The per-frame front end that frame blocks replace: every frame of the
+    measured, padded input as its own observation."""
+    x_pad = _pad_to_frame_grid(samples / np.max(np.abs(samples)), spec)
+    obs = estimate_clip_model(x_pad) if model is None else apply_measurement(model, x_pad)
+    y = frame_signal(obs.values, spec)
+    if not isinstance(obs.model, Clip):
+        return [Observation(v, obs.model) for v in y.T]
+    r, p = frame_signal(obs.reliable, spec), frame_signal(obs.clip_pos, spec)
+    return [Observation(y[:, j], obs.model, reliable=r[:, j], clip_pos=p[:, j] & ~r[:, j],
+                        clip_neg=~(r[:, j] | p[:, j])) for j in range(y.shape[1])]
+
+
+class TestFrameBlocks:
+    """Audio is coded in blocks of BLOCK_FRAMES frames, framed from one
+    measurement of the whole input."""
+
+    FS = FrameSpec(256, 0.75)
+
+    @pytest.mark.parametrize("model, task", [
+        (Clip(0.3, -0.3), "declip"), (None, "declip"), (uniform_quantizer_for_bits(3), "dequant"),
+        (uniform_quantizer_for_bits(12), "dequant"), (OneBit(), "onebit")],
+        ids=["clip", "clip-detected", "quant-3", "quant-12", "onebit"])
+    def test_framed_bounds_match_stacked_per_frame_intervals(self, short_signal, model, task):
+        x = np.clip(short_signal, -0.4, 0.5) if model is None else short_signal
+        obs, _ = measure_audio(x, self.FS, model)
+        per_frame = _per_frame_observations(x, self.FS, model)
+        assert len(frame_batch(obs, self.FS)) == len(per_frame) == 122
+        [substitute], stop = _baseline_observations([obs], task, self.FS.frame_len)
+        per_frame_sub, per_frame_stop = _baseline_observations(per_frame, task)
+        for cols in (slice(None), slice(0, 16), slice(112, 128)):  # all, first, short last
+            for got, observations in ((obs, per_frame), (substitute, per_frame_sub)):
+                batch = frame_batch(got, self.FS, cols)
+                want = batch_projector(observations[cols])
+                assert type(batch.model) is type(observations[0].model)
+                assert_bitwise_equal(batch.values,
+                                     np.stack([o.values for o in observations[cols]], axis=1))
+                for bound, stacked in zip(batch.projector.args, want.args, strict=True):
+                    assert_bitwise_equal(bound, stacked)
+        if stop is None:
+            assert per_frame_stop is None
+        else:
+            assert_bitwise_equal(np.broadcast_to(stop, per_frame_stop.shape), per_frame_stop)
+
+    @pytest.mark.parametrize("task, level, methods", [
+        ("declip", 0.3, ["fixed", "adaptive", "iht", "baseline"]),
+        ("dequant", 3, ["fixed", "adaptive", "iht", "baseline"]),
+        ("onebit", None, ["iht", "baseline"])])
+    def test_blocked_matches_one_block(self, short_signal, tmp_path, monkeypatch,
+                                       task, level, methods):
+        # 122 frames in blocks of 16 (the last one of 10) against one block.
+        # Blocks change the shapes of the BLAS products, whose rounding
+        # OpenBLAS does not keep across shapes, so the estimates agree to
+        # rounding and the 16-bit output the CLI writes agrees byte for byte
+        params = SolveParams(iters=60, k=32)
+        # the kernel keeps a projector's running columns when others have finished
+        left, columns = [], nlcs.measurements._Projection.columns
+        monkeypatch.setattr(nlcs.measurements._Projection, "columns",
+                            lambda self, cols: left.append(1) or columns(self, cols))
+        results = {}
+        for block in (10 ** 6, 16):
+            monkeypatch.setattr(nlcs.experiments, "BLOCK_FRAMES", block)
+            left.clear()
+            results[block] = run_audio(task, short_signal, self.FS, params, methods, level=level)
+        assert left  # in some block of 16, columns finished at different iterations
+        for blocked, whole in zip(results[16], results[10 ** 6], strict=True):
+            assert blocked.method == whole.method
+            assert np.abs(blocked.estimate - whole.estimate).max() <= 1e-12
+            for name, res in (("blocked", blocked), ("whole", whole)):
+                wav_write(tmp_path / f"{name}.wav", res.estimate, 16000)
+            assert ((tmp_path / "blocked.wav").read_bytes()
+                    == (tmp_path / "whole.wav").read_bytes())
+
+    def test_baseline_starts_from_zero(self, short_signal, monkeypatch):
+        # the inpainting baseline is IHT from zero: no classical start
+        def refuse(*args):
+            raise AssertionError("the baseline takes no classical start")
+
+        monkeypatch.setattr(nlcs.experiments, "_classical_init", refuse)
+        for task, level in (("declip", 0.3), ("dequant", 3), ("onebit", None)):
+            run_audio(task, short_signal, self.FS, PARAMS_SMALL, ["baseline"], level=level)
+
+    def test_peak_memory_follows_the_block(self, short_signal, monkeypatch):
+        # four times the input holds four times the per-sample arrays, but
+        # one block of frames at a time: the traced peak grows far less
+        # (coding every frame at once, it grows 3.6 times)
+        monkeypatch.setattr(nlcs.experiments, "BLOCK_FRAMES", 64)
+        x, d = np.tile(short_signal, 3), dct_dictionary(256, 512)
+        one = x[:63 * self.FS.hop + self.FS.frame_len]  # 64 frames: one block
+        four = x[:255 * self.FS.hop + self.FS.frame_len]  # 256 frames: four blocks
+        peaks = []
+        for signal in (one, four):
+            tracemalloc.start()
+            try:
+                run_audio("declip", signal, self.FS, PARAMS_SMALL, ["iht"], level=0.3,
+                          dictionary=d)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2.0 * peaks[0]
+
+    def test_learning_takes_one_norm_per_outer_iteration(self, short_signal, monkeypatch):
+        # the classical start's 1/||D||^2 also serves learn's first coding
+        # step: outer_iters norms of the dictionary in all, and the same D
+        obs, _ = measure_audio(short_signal[:4000], self.FS, Clip(0.3, -0.3))
+        batch, d0 = frame_batch(obs, self.FS), dct_dictionary(256, 512)
+        params = SolveParams(k=32, outer_iters=3, inner_iters=5)
+        shapes = []
+        norm = nlcs.solvers.spectral_norm
+        monkeypatch.setattr(nlcs.solvers, "spectral_norm",
+                            lambda a: shapes.append(a.shape) or norm(a))
+        d, codes, _ = learn_dictionary(d0, batch, params)
+        assert shapes.count((256, 512)) == params.outer_iters
+        dl = DictLearnConfig(SolverConfig(L0(params.k), max_iters=params.inner_iters),
+                             outer_iters=params.outer_iters,
+                             inner_dict_iters=params.inner_iters)
+        shapes.clear()
+        d_ref, codes_ref, _ = learn(batch, d0, dl, init_codes=_classical_init(d0, batch, 32))
+        assert shapes.count((256, 512)) == params.outer_iters + 1  # learn resolves its own
+        assert_bitwise_equal(d, d_ref)
+        assert_bitwise_equal(codes, codes_ref)
 
 
 @pytest.mark.slow

@@ -14,6 +14,7 @@ from conftest import (
 from nlcs.dictlearn import DictLearnConfig, TrainingSet, learn
 from nlcs.linops import dct_dictionary, prox_l0_topk, spectral_norm
 from nlcs.measurements import (
+    Batch,
     Clip,
     Identity,
     Observation,
@@ -56,7 +57,7 @@ def _lockstep_adaptive(d, observations, a0, hcfg):
     projector = batch_projector(observations)
     a = a0.copy()
     t_count = a.shape[1]
-    lam = (_auto_lam0(d, observations, projector.project) if hcfg.lam0 is None
+    lam = (_auto_lam0(d, Batch.of(observations)) if hcfg.lam0 is None
            else np.full(t_count, float(hcfg.lam0)))
     z = d @ a
     level = 0.5 * np.sum((z - projector.project(z)) ** 2, axis=0)
@@ -561,7 +562,7 @@ class TestBatchSolver:
         builds = []
         build = nlcs.solvers.batch_projector
         assert build is nlcs.measurements.batch_projector  # re-exported, not a copy
-        monkeypatch.setattr(nlcs.solvers, "batch_projector",
+        monkeypatch.setattr(nlcs.measurements, "batch_projector",  # Batch.of's builder
                             lambda obs: builds.append(1) or build(obs))
         _, trace = sparse_code_adaptive(problems[0][0], observations, np.zeros((64, 4)),
                                         HomotopyConfig(SolverConfig(L1(1.0), max_iters=100)))
