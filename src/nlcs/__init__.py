@@ -5,7 +5,6 @@ general linear maps)."""
 from .dictlearn import (
     DictLearnConfig,
     LearnTrace,
-    TrainingSet,
     dict_update,
     export_dictionary_text,
     learn,
@@ -15,6 +14,7 @@ from .dictlearn import (
 )
 from .linops import dct_dictionary, prox_l0_topk, prox_l1, spectral_norm
 from .measurements import (
+    Batch,
     Clip,
     DegenerateObservationError,
     GeneralLinear,

@@ -17,17 +17,15 @@ from __future__ import annotations
 import logging
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import List
 
 import numpy as np
 
-from .measurements import Observation, batch_projector
-from .solvers import SolverConfig, _descend, _evaluate, _resolve_step, _synth_used
+from .measurements import Batch
+from .solvers import SolverConfig, _code_matrix, _descend, _evaluate, _resolve_step, _synth_used
 
 __all__ = [
     "DictLearnConfig",
-    "TrainingSet",
     "LearnTrace",
     "project_dictionary",
     "dict_update",
@@ -53,30 +51,6 @@ class DictLearnConfig:
             raise ValueError("outer_iters must be >= 0")
         if self.inner_dict_iters < 1:
             raise ValueError("inner_dict_iters must be >= 1")
-
-
-@dataclass(eq=False)
-class TrainingSet:
-    """Observations measured through one model family."""
-
-    observations: List[Observation]
-
-    def __post_init__(self):
-        if not self.observations:
-            raise ValueError("training set must contain at least one observation")
-        first = self.observations[0]
-        for o in self.observations:
-            if type(o.model) is not type(first.model):
-                raise ValueError("observations must share one measurement model family")
-            if o.values.shape != first.values.shape:
-                raise ValueError("observations must share one signal length")
-
-    def __len__(self) -> int:
-        return len(self.observations)
-
-    @cached_property
-    def projector(self):  # one stacked projector for every half step
-        return batch_projector(self.observations)
 
 
 @dataclass
@@ -113,22 +87,12 @@ def _onto_unit_ball(d: np.ndarray, norms: np.ndarray, out: np.ndarray) -> np.nda
     return out
 
 
-def _as_code_matrix(codes, atom_count: int, count: int) -> np.ndarray:
-    a = np.asarray(codes, dtype=float)
-    if a.shape != (atom_count, count):
-        raise ValueError(f"codes must have shape {(atom_count, count)} (atoms, "
-                         f"training signals), got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("codes must be finite")
-    return a
-
-
-def dict_update(d: np.ndarray, codes, train: TrainingSet, cfg: DictLearnConfig
-                ) -> np.ndarray:
-    """Projected gradient steps on the summed data cost with codes fixed;
-    returns the updated dictionary, its unused atoms bit for bit as given."""
+def dict_update(d: np.ndarray, codes, batch: Batch, cfg: DictLearnConfig) -> np.ndarray:
+    """Projected gradient steps on the data cost of the training batch,
+    summed over its columns, with the (M, T) codes fixed; returns the
+    updated dictionary, its unused atoms bit for bit as given."""
     d = np.asarray(d, dtype=float)
-    a = _as_code_matrix(codes, d.shape[1], len(train))
+    a = _code_matrix(codes, (d.shape[1], len(batch)))
     if not np.all(np.isfinite(d)):
         raise ValueError("dictionary must be finite")
     used = np.flatnonzero(np.any(a != 0.0, axis=1))
@@ -137,7 +101,7 @@ def dict_update(d: np.ndarray, codes, train: TrainingSet, cfg: DictLearnConfig
         return d.copy()
     du, au = d[:, used], a[used]
     mu2 = _resolve_step(au)
-    projector = train.projector
+    projector = batch.projector
     for _ in range(cfg.inner_dict_iters):
         z = du @ au
         e = projector.project(z)
@@ -155,13 +119,12 @@ def dict_update(d: np.ndarray, codes, train: TrainingSet, cfg: DictLearnConfig
     return d
 
 
-def learn(train: TrainingSet, d0: np.ndarray, cfg: DictLearnConfig,
+def learn(batch: Batch, d0: np.ndarray, cfg: DictLearnConfig,
           init_codes=None, step=None) -> tuple[np.ndarray, np.ndarray, LearnTrace]:
-    """Alternating consistent sparse coding and dictionary updates.
-
-    train is a TrainingSet, or a measurements.Batch: learning reads only
-    its projector and its length.  Codes are warm-started from the previous
-    outer iteration (column t of the returned (M, T) array codes signal t).
+    """Alternating consistent sparse coding and dictionary updates on the
+    training batch, one signal per column, its one projector serving every
+    half step.  Codes are warm-started from the previous outer iteration
+    (column t of the returned (M, T) array codes signal t).
     step, when given, is the first coding half step's: 1 / ||d0||_2^2 as
     its caller has already resolved it.  Atoms that no training code ever
     activates are left untouched and reported through a warning.
@@ -172,11 +135,11 @@ def learn(train: TrainingSet, d0: np.ndarray, cfg: DictLearnConfig,
         raise ValueError("initial dictionary violates the unit column-norm constraint")
 
     if init_codes is None:
-        a = np.zeros((d.shape[1], len(train)))
+        a = np.zeros((d.shape[1], len(batch)))
     else:
-        a = _as_code_matrix(init_codes, d.shape[1], len(train)).copy()
+        a = _code_matrix(init_codes, (d.shape[1], len(batch))).copy()
 
-    projector, code = train.projector, cfg.inner_code
+    projector, code = batch.projector, cfg.inner_code
     lam = getattr(code.regularizer, "lam", None)  # None: top-K, no penalty
     trace = LearnTrace()
     step = code.step if code.step is not None else step
@@ -186,7 +149,7 @@ def learn(train: TrainingSet, d0: np.ndarray, cfg: DictLearnConfig,
         if i:  # the kernel's first objective: the codes on the last update's dictionary
             trace.after_dict.append(float(totals[0]))
         trace.after_coding.append(float(totals[-1]))
-        d = dict_update(d, a, train, cfg)
+        d = dict_update(d, a, batch, cfg)
     if cfg.outer_iters:  # evaluated as the kernel does
         synth = _synth_used if lam is None else np.matmul
         trace.after_dict.append(float(_evaluate(d, projector, a, synth, lam)[2].sum()))

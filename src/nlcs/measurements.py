@@ -6,8 +6,8 @@ that are consistent with an observation y = f(x).  For the separable maps
 (identity, masking, clipping, quantization, 1-bit) that set is a per-sample
 interval box [lower, upper], with -inf or +inf on an open side, so
 projecting onto it is an element-wise clamp; for a general linear map it is
-an affine subspace.  batch_projector stacks the sets of T observations to
-project (N, T) signals, one per column.  The data cost is half the squared
+an affine subspace.  Batch.of stacks the sets of T observations to project
+(N, T) signals, one per column.  The data cost is half the squared
 Euclidean distance to the set,
 
     cost(y, x) = 0.5 * ||x - proj(x)||_2^2,
@@ -40,7 +40,6 @@ __all__ = [
     "feasibility_intervals",
     "project",
     "project_linear",
-    "batch_projector",
     "cost",
     "gradient",
     "estimate_clip_model",
@@ -430,7 +429,7 @@ class _Projection(partial):
     """project((N, T)) for a batch: func on bound arguments whose arrays hold
     one column (last axis) per observation; columns(cols) keeps columns cols."""
 
-    project = partial.__call__  # an instance may rebind it, as a tracer does
+    project = partial.__call__  # an instance may rebind it, to wrap its calls
 
     def columns(self, cols):
         return type(self)(self.func, *(x[..., cols] if isinstance(x, np.ndarray) else x
@@ -442,33 +441,14 @@ def _project_each(observations, z):
                      for t, o in enumerate(observations)], axis=1)
 
 
-def batch_projector(observations: Sequence[Observation]):
-    """The projector of a batch: ``project((N, T)) -> (N, T)``, and
-    ``columns(cols)``, the projector of the batch's columns cols.  The only
-    code that tells a linear feasibility set from an interval box."""
-    obs = list(observations)
-    if not obs:
-        raise ValueError("need at least one observation")
-    first = obs[0]
-    if len({isinstance(o.model, GeneralLinear) for o in obs}) > 1:
-        raise ValueError("a batch cannot mix GeneralLinear observations with "
-                         "separable (interval) ones")
-    if not isinstance(first.model, GeneralLinear):
-        intervals = [o.intervals() for o in obs]
-        return _Projection(_clamp, np.stack([iv.lower for iv in intervals], axis=1),
-                           np.stack([iv.upper for iv in intervals], axis=1))
-    if all(o.model is first.model for o in obs):
-        y = np.stack([o.values for o in obs], axis=1)
-        return _Projection(project_linear, first.model, y)
-    return _Projection(_project_each, np.array(obs, dtype=object))
-
-
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """T observations held column-wise, as the coders take them: the
-    projector of their feasibility sets, the model they were measured
-    through (the first observation's) and, for interval sets, their (N, T)
-    values (None for linear sets, whose projector holds them)."""
+    """T observations held column-wise, as the coders and the learner take
+    them: the projector of their feasibility sets (``project((N, T)) ->
+    (N, T)``, and ``columns(cols)``, the projector of columns cols), the
+    model they were measured through (the first observation's) and, for
+    interval sets, their (N, T) values (None for linear sets, whose
+    projector holds them)."""
 
     projector: _Projection
     model: MeasurementModel
@@ -476,11 +456,27 @@ class Batch:
 
     @classmethod
     def of(cls, observations: Sequence[Observation]) -> "Batch":
+        """The batch of observations, one column each.  The only code that
+        tells a linear feasibility set from an interval box."""
         obs = list(observations)
-        projector = batch_projector(obs)
-        linear = isinstance(obs[0].model, GeneralLinear)
-        return cls(projector, obs[0].model,
-                   None if linear else np.stack([o.values for o in obs], axis=1))
+        if not obs:
+            raise ValueError("need at least one observation")
+        first = obs[0]
+        if len({isinstance(o.model, GeneralLinear) for o in obs}) > 1:
+            raise ValueError("a batch cannot mix GeneralLinear observations with "
+                             "separable (interval) ones")
+        if isinstance(first.model, GeneralLinear):
+            if all(o.model is first.model for o in obs):
+                y = np.stack([o.values for o in obs], axis=1)
+                return cls(_Projection(project_linear, first.model, y), first.model)
+            return cls(_Projection(_project_each, np.array(obs, dtype=object)), first.model)
+        lengths = sorted({o.values.shape[0] for o in obs})
+        if len(lengths) > 1:
+            raise ValueError(f"a batch needs one signal length, got lengths {lengths}")
+        intervals = [o.intervals() for o in obs]
+        return cls.box(first.model, np.stack([o.values for o in obs], axis=1),
+                       np.stack([iv.lower for iv in intervals], axis=1),
+                       np.stack([iv.upper for iv in intervals], axis=1))
 
     @classmethod
     def box(cls, model: MeasurementModel, values, lower, upper) -> "Batch":
@@ -494,7 +490,7 @@ class Batch:
 def gradient(obs: Observation, x) -> np.ndarray:
     """Gradient x - proj(x) of the data cost at an (N,) signal x: a one-column batch."""
     x = np.asarray(x, dtype=float)
-    return x - batch_projector([obs]).project(x[:, None])[:, 0]
+    return x - Batch.of([obs]).projector.project(x[:, None])[:, 0]
 
 
 def cost(obs: Observation, x) -> float:

@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from .linops import _topk_keep, prox_l1, spectral_norm
-from .measurements import Batch, Observation, batch_projector
+from .measurements import Batch, Observation
 
 __all__ = [
     "L1",
@@ -51,7 +51,6 @@ __all__ = [
     "sparse_code_fixed",
     "sparse_code_adaptive",
     "consistency_level",
-    "batch_projector",
 ]
 
 
@@ -220,7 +219,7 @@ def _evaluate(d: np.ndarray, projector, a: np.ndarray, synth, lam):
 
 def _objective_of_one(d: np.ndarray, alpha: np.ndarray, obs: Observation, lam) -> float:
     a = np.asarray(alpha, dtype=float)[:, None]
-    return float(_evaluate(d, batch_projector([obs]), a, np.matmul, lam)[2][0])
+    return float(_evaluate(d, Batch.of([obs]).projector, a, np.matmul, lam)[2][0])
 
 
 def objective(d: np.ndarray, alpha: np.ndarray, obs: Observation,
@@ -470,21 +469,24 @@ def _descend(d: np.ndarray, projector, a: np.ndarray, cfg: SolverConfig,
         f = f_new
 
 
+def _code_matrix(codes, shape: tuple, name: str = "codes") -> np.ndarray:
+    """codes as a float array, checked to have the given shape and to be finite."""
+    a = np.asarray(codes, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
 def _as_batch(d: np.ndarray, obs, alpha0):
-    """(Batch, (M, T) codes, single) from one observation with (M,) codes,
-    or T observations (a sequence or a Batch) with (M, T) codes."""
+    """(Batch, (M, T) codes in a new array, single) from one observation with
+    (M,) codes, or T observations (a sequence or a Batch) with (M, T) codes."""
     single = isinstance(obs, Observation)
     batch = obs if isinstance(obs, Batch) else Batch.of([obs] if single else obs)
-    a = np.array(alpha0, dtype=float)
-    if single:
-        if a.ndim != 1 or a.shape[0] != d.shape[1]:
-            raise ValueError("alpha0 length must match the dictionary atom count")
-        a = a[:, None]
-    elif a.shape != (d.shape[1], len(batch)):
-        raise ValueError("alpha0 must have shape (atom_count, observation count)")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("alpha0 must be finite")
-    return batch, a, single
+    shape = (d.shape[1],) if single else (d.shape[1], len(batch))
+    a = _code_matrix(alpha0, shape, "alpha0").copy()
+    return batch, a[:, None] if single else a, single
 
 
 def sparse_code_fixed(d: np.ndarray, obs: Union[Observation, Sequence[Observation], Batch],

@@ -5,7 +5,6 @@ import nlcs.dictlearn
 import nlcs.solvers
 from nlcs.dictlearn import (
     DictLearnConfig,
-    TrainingSet,
     dict_update,
     export_dictionary_text,
     learn,
@@ -14,11 +13,13 @@ from nlcs.dictlearn import (
     save_dictionary,
 )
 from nlcs.linops import dct_dictionary, spectral_norm
-from nlcs.measurements import Clip, Identity, apply_measurement, cost
-from nlcs.solvers import L0, L1, SolverConfig, batch_projector, objective, sparse_code_fixed
+from nlcs.measurements import Batch, Clip, Identity, Mask, Observation, apply_measurement, cost
+from nlcs.solvers import L0, L1, SolverConfig, sparse_code_fixed
 
 
-def _training_set(rng, n=8, m=12, t=20, theta=0.4, k=2, model=None):
+def _observations(rng, n=8, m=12, t=20, theta=0.4, k=2, model=None):
+    """t observations of k-sparse signals of a random dictionary; the
+    observations, the (n, t) signals and the dictionary."""
     d_true = rng.standard_normal((n, m))
     d_true /= np.linalg.norm(d_true, axis=0)
     observations = []
@@ -31,13 +32,19 @@ def _training_set(rng, n=8, m=12, t=20, theta=0.4, k=2, model=None):
         signals.append(x)
         mdl = Clip(theta, -theta) if model is None else model
         observations.append(apply_measurement(mdl, x))
-    return TrainingSet(observations), np.stack(signals, axis=1), d_true
+    return observations, np.stack(signals, axis=1), d_true
 
 
-def _data_cost(d, codes, train):
-    """Summed data cost of the training set under codes (column t codes
+def _training_set(rng, **kwargs):
+    """_observations as a training batch, with the signals and the dictionary."""
+    observations, signals, d_true = _observations(rng, **kwargs)
+    return Batch.of(observations), signals, d_true
+
+
+def _data_cost(d, codes, observations):
+    """Summed data cost of the observations under codes (column t codes
     observation t)."""
-    return sum(cost(o, d @ codes[:, t]) for t, o in enumerate(train.observations))
+    return sum(cost(o, d @ codes[:, t]) for t, o in enumerate(observations))
 
 
 class TestProjectDictionary:
@@ -99,8 +106,7 @@ class TestDictUpdate:
         codes[2, :] = rng.standard_normal(4)
         signals = d @ codes
         observations = [apply_measurement(Identity(), signals[:, t]) for t in range(4)]
-        train = TrainingSet(observations)
-        out = dict_update(d, codes, train, self._cfg())
+        out = dict_update(d, codes, Batch.of(observations), self._cfg())
         assert np.array_equal(out, d)
 
     def test_rank_one_update_touches_one_column(self):
@@ -109,27 +115,33 @@ class TestDictUpdate:
         codes = np.zeros((12, 1))
         codes[0, 0] = 1.0
         y = d @ codes[:, 0] + 0.3 * rng.standard_normal(8)
-        train = TrainingSet([apply_measurement(Identity(), y)])
+        train = Batch.of([apply_measurement(Identity(), y)])
         out = dict_update(d, codes, train, self._cfg())
         assert not np.array_equal(out[:, 0], d[:, 0])
         assert np.array_equal(out[:, 1:], d[:, 1:])
 
     def test_objective_non_increasing(self):
         rng = np.random.default_rng(4)
-        train, _, d_true = _training_set(rng)
+        clipped, _, _ = _observations(rng)
+        # one batch of two model families: each Clip observation next to its
+        # Mask substitute, as synth's joint adaptive and baseline solve holds them
+        mixed = clipped + [Observation(o.values, Mask(o.reliable)) for o in clipped]
         d0 = dct_dictionary(8, 12)
         cfg = DictLearnConfig(inner_code=SolverConfig(L1(1e-2), max_iters=20),
                               inner_dict_iters=20)
-        codes = 0.1 * rng.standard_normal((12, len(train)))
         # the step 1 / ||A||^2 depends on the codes only, so twenty one-step
         # calls walk through the same dictionaries as one twenty-step call
         one_step = DictLearnConfig(inner_code=cfg.inner_code, inner_dict_iters=1)
-        d, objs = d0, [_data_cost(d0, codes, train)]
-        for _ in range(cfg.inner_dict_iters):
-            d = dict_update(d, codes, train, one_step)
-            objs.append(_data_cost(d, codes, train))
-        assert np.array_equal(d, dict_update(d0, codes, train, cfg))
-        assert np.all(np.diff(objs) <= 1e-10)
+        for observations in (clipped, mixed):
+            train = Batch.of(observations)
+            codes = 0.1 * rng.standard_normal((12, len(train)))
+            d, objs = d0, [_data_cost(d0, codes, observations)]
+            for _ in range(cfg.inner_dict_iters):
+                d = dict_update(d, codes, train, one_step)
+                objs.append(_data_cost(d, codes, observations))
+            assert np.array_equal(d, dict_update(d0, codes, train, cfg))
+            assert np.all(np.diff(objs) <= 1e-10)
+            assert objs[-1] < objs[0]
 
     @pytest.mark.parametrize("shape", [(12,), (11, 6), (12, 5), (12, 6, 1)])
     def test_malformed_codes_rejected(self, shape):
@@ -184,8 +196,8 @@ class TestDictUpdate:
             dict_update(dct_dictionary(8, 12), codes, train, self._cfg())
 
     def test_divergence_reported(self):
-        train = TrainingSet([apply_measurement(Identity(), np.full(8, 1.5e308))
-                             for _ in range(3)])
+        train = Batch.of([apply_measurement(Identity(), np.full(8, 1.5e308))
+                          for _ in range(3)])
         codes = np.zeros((16, 3))
         codes[0], codes[1] = 1.0, 0.5
         with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="diverged"):
@@ -213,17 +225,18 @@ class TestLearn:
 
     def test_learning_beats_fixed_dictionary_objective(self):
         rng = np.random.default_rng(7)
-        train, _, _ = _training_set(rng, model=Identity())
+        observations, _, _ = _observations(rng, model=Identity())
+        train = Batch.of(observations)
         d0 = dct_dictionary(8, 12)
         inner = SolverConfig(L1(1e-2), max_iters=20)
         cfg_learn = DictLearnConfig(inner_code=inner, outer_iters=15,
                                     inner_dict_iters=20)
         _, _, trace = learn(train, d0, cfg_learn)
         # sparse coding alone, dictionary held at its start value
-        projector = batch_projector(train.observations)
+        projector = train.projector
         codes = np.zeros((12, len(train)))
         for _ in range(15):
-            codes, _ = sparse_code_fixed(d0, train.observations, codes, inner)
+            codes, _ = sparse_code_fixed(d0, observations, codes, inner)
         z = d0 @ codes
         fixed_obj = float(
             0.5 * np.sum((z - projector.project(z)) ** 2)
@@ -296,7 +309,7 @@ class TestLearn:
         train, signals, _ = _training_set(rng, model=Identity())
         d = dct_dictionary(8, 12)
         codes = rng.standard_normal((12, len(train)))
-        projector = batch_projector(train.observations)
+        projector = train.projector
         z = d @ codes
         direction = (projector.project(z) - z) @ codes.T
         want = (signals - d @ codes) @ codes.T
@@ -324,20 +337,20 @@ class TestLearn:
 
     def test_one_stacked_projector_per_learn(self, monkeypatch):
         rng = np.random.default_rng(21)
-        train, _, _ = _training_set(rng)
+        observations, _, _ = _observations(rng)
         builds = []
+        build = Batch.of
 
         def counting(observations):
             builds.append(len(observations))
-            return batch_projector(observations)
+            return build(observations)
 
-        monkeypatch.setattr(nlcs.solvers, "batch_projector", counting)
-        monkeypatch.setattr(nlcs.dictlearn, "batch_projector", counting)
+        monkeypatch.setattr(Batch, "of", staticmethod(counting))
         cfg = DictLearnConfig(inner_code=SolverConfig(L1(1e-2), max_iters=5),
                               outer_iters=4, inner_dict_iters=2)
-        _, _, trace = learn(train, dct_dictionary(8, 12), cfg)
+        _, _, trace = learn(Batch.of(observations), dct_dictionary(8, 12), cfg)
         assert len(trace.after_dict) == 4
-        assert builds == [len(train)]
+        assert builds == [len(observations)]
 
     def test_initial_dictionary_validated(self):
         rng = np.random.default_rng(10)
@@ -369,22 +382,6 @@ class TestLearn:
                       if "never activated" in r.getMessage()]
         assert message.startswith(f"{unused.size} atoms")
         assert message.endswith(f"{unused[:10].tolist()})")
-
-
-class TestTrainingSetValidation:
-    def test_mixed_models_rejected(self):
-        rng = np.random.default_rng(12)
-        o1 = apply_measurement(Identity(), rng.standard_normal(8))
-        o2 = apply_measurement(Clip(0.5, -0.5), rng.standard_normal(8))
-        with pytest.raises(ValueError):
-            TrainingSet([o1, o2])
-
-    def test_mixed_lengths_rejected(self):
-        rng = np.random.default_rng(13)
-        o1 = apply_measurement(Identity(), rng.standard_normal(8))
-        o2 = apply_measurement(Identity(), rng.standard_normal(9))
-        with pytest.raises(ValueError):
-            TrainingSet([o1, o2])
 
 
 class TestSerialization:

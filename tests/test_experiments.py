@@ -31,7 +31,6 @@ from nlcs.measurements import (
     Observation,
     OneBit,
     apply_measurement,
-    batch_projector,
     estimate_clip_model,
 )
 from nlcs.pipeline import (
@@ -118,7 +117,7 @@ class TestEstimate:
 
         def dense(codes):
             z = d @ codes
-            return z if isinstance(model, OneBit) else batch_projector(observations).project(z)
+            return z if isinstance(model, OneBit) else Batch.of(observations).projector.project(z)
 
         batch = Batch.of(observations)
         codes = _classical_init(d, batch, 8)
@@ -352,7 +351,7 @@ class TestFrameBlocks:
         for cols in (slice(None), slice(0, 16), slice(112, 128)):  # all, first, short last
             for got, observations in ((obs, per_frame), (substitute, per_frame_sub)):
                 batch = frame_batch(got, self.FS, cols)
-                want = batch_projector(observations[cols])
+                want = Batch.of(observations[cols]).projector
                 assert type(batch.model) is type(observations[0].model)
                 assert_bitwise_equal(batch.values,
                                      np.stack([o.values for o in observations[cols]], axis=1))

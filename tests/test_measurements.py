@@ -11,6 +11,7 @@ from conftest import (
     random_observation,
 )
 from nlcs.measurements import (
+    Batch,
     Clip,
     DegenerateObservationError,
     GeneralLinear,
@@ -23,7 +24,6 @@ from nlcs.measurements import (
     SingularModelError,
     UniformQuantizer,
     apply_measurement,
-    batch_projector,
     cost,
     estimate_clip_model,
     feasibility_intervals,
@@ -262,7 +262,7 @@ class TestProjectBitIdentity:
             x = np.stack([EDGE_X, -EDGE_X, rng.standard_normal(n), EDGE_X[::-1],
                           np.zeros(n)], axis=1)
             want = project_two_where(stacked, x)
-            assert_bits_equal(batch_projector(observations).project(x), want)
+            assert_bits_equal(Batch.of(observations).projector.project(x), want)
             assert_bits_equal(project(stacked, x), want)
             for t, o in enumerate(observations):
                 assert_bits_equal(project(o.intervals(), x[:, t]), want[:, t])
@@ -281,7 +281,7 @@ class TestProjectBitIdentity:
                 assert_bits_equal(project(o.intervals(), col),
                                   project_two_where(o.intervals(), col))
             batch = [o] * 3
-            assert_bits_equal(batch_projector(batch).project(x),
+            assert_bits_equal(Batch.of(batch).projector.project(x),
                               project_two_where(stack_intervals(batch), x))
 
 
@@ -347,10 +347,20 @@ class TestProjectLinear:
                 run()
 
         for _ in range(3):
-            attempt(lambda: batch_projector(observations).project(np.ones((6, 2))))
+            attempt(lambda: Batch.of(observations).projector.project(np.ones((6, 2))))
             for o in observations:
                 attempt(lambda: gradient(o, np.ones(6)))
         assert len(calls) == (9 if rank_deficient else 1)
+
+
+class TestBatch:
+    def test_mixed_lengths_rejected(self):
+        rng = np.random.default_rng(13)
+        o1 = apply_measurement(Identity(), rng.standard_normal(8))
+        o2 = apply_measurement(Clip(0.5, -0.5), rng.standard_normal(9))
+        for observations in ([o1, o2], [o2, o1, o1]):
+            with pytest.raises(ValueError, match=r"one signal length, got lengths \[8, 9\]"):
+                Batch.of(observations)
 
 
 class TestCostGradient:
@@ -397,7 +407,7 @@ def test_single_signal_gradient_is_one_column_of_the_batch(family):
         signals = np.tanh(signals)
     observations = [apply_measurement(model, x) for x in signals.T]
     z = 2.0 * rng.standard_normal((n, t_count))
-    batch = z - batch_projector(observations).project(z)
+    batch = z - Batch.of(observations).projector.project(z)
     for t, obs in enumerate(observations):
         col = np.ascontiguousarray(batch[:, t])
         g = gradient(obs, z[:, t])

@@ -11,7 +11,7 @@ from conftest import (
     random_observation,
     random_sparse_problem,
 )
-from nlcs.dictlearn import DictLearnConfig, TrainingSet, learn
+from nlcs.dictlearn import DictLearnConfig, learn
 from nlcs.linops import dct_dictionary, prox_l0_topk, spectral_norm
 from nlcs.measurements import (
     Batch,
@@ -36,7 +36,6 @@ from nlcs.solvers import (
     _descend,
     _resolve_step,
     _synth_used,
-    batch_projector,
     consistency_level,
     objective,
     sparse_code_adaptive,
@@ -54,10 +53,11 @@ def _lockstep_adaptive(d, observations, a0, hcfg):
     Each stage is one sparse_code_fixed call on the columns still above
     epsilon, and every column waits for the slowest one of its stage.
     """
-    projector = batch_projector(observations)
+    batch = Batch.of(observations)
+    projector = batch.projector
     a = a0.copy()
     t_count = a.shape[1]
-    lam = (_auto_lam0(d, Batch.of(observations)) if hcfg.lam0 is None
+    lam = (_auto_lam0(d, batch) if hcfg.lam0 is None
            else np.full(t_count, float(hcfg.lam0)))
     z = d @ a
     level = 0.5 * np.sum((z - projector.project(z)) ** 2, axis=0)
@@ -432,7 +432,7 @@ def test_single_signal_objectives_sum_to_the_kernels_first_total(family, reg):
     observations = [apply_measurement(model, x) for x in signals.T]
     a = np.where(rng.random((d.shape[1], 6)) < 0.2, rng.standard_normal((d.shape[1], 6)), 0.0)
     cfg = SolverConfig(reg, max_iters=1)
-    totals = _descend(d, batch_projector(observations), a.copy(), cfg, _resolve_step(d))[1]
+    totals = _descend(d, Batch.of(observations).projector, a.copy(), cfg, _resolve_step(d))[1]
     got = sum(objective(d, a[:, t], o, cfg) for t, o in enumerate(observations))
     assert got == pytest.approx(totals[0], rel=1e-12)
 
@@ -479,7 +479,7 @@ class TestBatchSolver:
         intervals = Observation.intervals
         monkeypatch.setattr(Observation, "intervals",
                             lambda o: calls.append(1) or intervals(o))
-        got = batch_projector(observations).project(z)
+        got = Batch.of(observations).projector.project(z)
         assert len(calls) == len(observations)
         assert np.array_equal(got, want)
 
@@ -560,10 +560,8 @@ class TestBatchSolver:
         problems = [random_sparse_problem("quant", rng, n=32, m=64, k=4) for _ in range(4)]
         observations = [apply_measurement(problems[0][3].model, p[2]) for p in problems]
         builds = []
-        build = nlcs.solvers.batch_projector
-        assert build is nlcs.measurements.batch_projector  # re-exported, not a copy
-        monkeypatch.setattr(nlcs.measurements, "batch_projector",  # Batch.of's builder
-                            lambda obs: builds.append(1) or build(obs))
+        build = Batch.of
+        monkeypatch.setattr(Batch, "of", staticmethod(lambda obs: builds.append(1) or build(obs)))
         _, trace = sparse_code_adaptive(problems[0][0], observations, np.zeros((64, 4)),
                                         HomotopyConfig(SolverConfig(L1(1.0), max_iters=100)))
         assert len(trace.stages) > 1 and len(builds) == 1
@@ -579,10 +577,10 @@ class TestBatchSolver:
                             for _ in range(5)]
         z = rng.standard_normal((16, 3))
         cols = np.array([0, 2, 4])
-        got = batch_projector(observations).columns(cols)
-        want = batch_projector([observations[t] for t in cols]).project(z)
+        got = Batch.of(observations).projector.columns(cols)
+        want = Batch.of([observations[t] for t in cols]).projector.project(z)
         assert np.array_equal(got.project(z), want)
-        one = batch_projector([observations[2]]).project(z[:, 1:2])
+        one = Batch.of([observations[2]]).projector.project(z[:, 1:2])
         assert np.array_equal(got.columns(np.array([1])).project(z[:, 1:2]), one)
 
     def test_stop_consistency_threshold(self):
@@ -617,7 +615,7 @@ class TestTopKSynthesis:
         return d, observations
 
     def _descend_both(self, monkeypatch, d, observations, a0, cfg):
-        projector = batch_projector(observations)
+        projector = Batch.of(observations).projector
         mu = _resolve_step(d)
         calls = []
         with monkeypatch.context() as mp:
@@ -731,7 +729,7 @@ class TestWarmTopKSupport:
     def _descend_both(self, monkeypatch, d, observations, cfg, stop=None):
         """(columns selected per top-K call, batch widths as columns left,
         iterations) of the warm run, after checking it against the reference."""
-        projector, mu = batch_projector(observations), _resolve_step(d)
+        projector, mu = Batch.of(observations).projector, _resolve_step(d)
         a0 = np.zeros((d.shape[1], len(observations)))
         selected, widths, full = [], [], nlcs.solvers._topk_keep
         with monkeypatch.context() as mp:
@@ -766,7 +764,7 @@ class TestWarmTopKSupport:
     def test_learning_on_clipped_data(self, monkeypatch):
         rng = np.random.default_rng(42)
         d_true, observations = self._problem(rng, Clip(0.4, -0.4), t=40)
-        train = TrainingSet(observations)
+        train = Batch.of(observations)
         cfg = DictLearnConfig(inner_code=SolverConfig(L0(4), max_iters=10),
                               outer_iters=4, inner_dict_iters=5)
         d0 = dct_dictionary(32, 128)
@@ -829,7 +827,7 @@ class TestTopKScreen:
                  "onebit": OneBit()}[family]
         d, observations, a0 = self._problem(rng, model)
         got, want, got_supports, want_supports, held = self._descend_both(
-            monkeypatch, d, batch_projector(observations), a0,
+            monkeypatch, d, Batch.of(observations).projector, a0,
             SolverConfig(L0(4), max_iters=60))
         assert len(got_supports) == len(want_supports) == 61
         for g, w in zip(got_supports, want_supports):
@@ -843,7 +841,7 @@ class TestTopKScreen:
         rng = np.random.default_rng(61)
         d, observations, a0 = self._problem(rng, uniform_quantizer_for_bits(8), t=30)
         widths = []
-        projector = _CountingProjector(batch_projector(observations), widths)
+        projector = _CountingProjector(Batch.of(observations).projector, widths)
         stop = np.full(30, 0.45)  # reached at various iterations, or never
         compactions, columns = [], nlcs.solvers._TopKScreen.columns
         fields = ("rows", "m", "ref_norm", "r_ref")
@@ -920,7 +918,7 @@ class TestTopKScreen:
         rng = np.random.default_rng(64)
         d, observations, a0 = self._problem(rng, Clip(0.4, -0.4), m=64, t=30)
         assert 2 * np.count_nonzero(a0.any(axis=1)) >= 64
-        projector, cfg = batch_projector(observations), SolverConfig(L0(4), max_iters=40)
+        projector, cfg = Batch.of(observations).projector, SolverConfig(L0(4), max_iters=40)
         got, want, _, _, held = self._descend_both(monkeypatch, d, projector, a0, cfg)
         assert held == []  # the dense step never asks for a certificate
         for g, w in zip(got, want):
@@ -933,7 +931,7 @@ class TestTopKScreen:
         init = nlcs.solvers._TopKScreen.__init__
         monkeypatch.setattr(nlcs.solvers._TopKScreen, "__init__",
                             lambda self, *args: screens.append(self) or init(self, *args))
-        _descend(d, batch_projector(observations), np.zeros((64, 30)),
+        _descend(d, Batch.of(observations).projector, np.zeros((64, 30)),
                  SolverConfig(L0(4), max_iters=40), _resolve_step(d))
         (screen,) = screens
         assert screen.dense and 2 * screen.used.size >= 64 and screen.d_used is None
@@ -941,7 +939,7 @@ class TestTopKScreen:
     def test_a_warm_start_seeds_the_candidate_rows(self, monkeypatch):
         rng = np.random.default_rng(66)
         d, observations, a0 = self._problem(rng, Clip(0.4, -0.4))
-        projector, cfg = batch_projector(observations), SolverConfig(L0(4), max_iters=30)
+        projector, cfg = Batch.of(observations).projector, SolverConfig(L0(4), max_iters=30)
         warm = _descend(d, projector, a0.copy(), cfg, _resolve_step(d))[0]
         selected, full = [], nlcs.solvers._topk_keep
         monkeypatch.setattr(nlcs.solvers, "_topk_keep",
