@@ -1,18 +1,21 @@
 """Command-line front end.
 
-Subcommands: synth, declip, dequant, onebit, baseline, learn-dict.  Every
-run is driven by a flat key=value configuration; values come from built-in
-defaults, then an optional --config file, then explicit flags.  The
-effective configuration is echoed into each output file as comment lines so
-any result can be reproduced from its own CSV.  Progress goes to stderr;
-stdout is reserved for CSV when --stdout is set.
+Subcommands: synth, declip, dequant, onebit, baseline, learn-dict.  Each
+setting is declared once, as a RunConfig field with its flag, parser and
+help; each subcommand once, in _COMMANDS, with its help, its defaults and
+the settings it reads.  A subcommand takes the flags of those settings
+only, and its --config applies only their keys, ignoring any other.
+Values come from the defaults, then an optional --config file, then
+explicit flags.  Each output CSV records the settings its command read as
+comment lines, so any result can be reproduced from its own CSV.  Progress
+goes to stderr; stdout is reserved for CSV when --stdout is set.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -40,47 +43,6 @@ from .pipeline import (
 )
 
 
-@dataclass
-class RunConfig:
-    command: str = ""
-    input: Optional[str] = None
-    out: Optional[str] = None
-    seed: int = 0
-    method: str = ""
-    lam: float = 1e-2
-    epsilon: float = 1e-3
-    decay: float = 0.5
-    iters: int = 0
-    inner_iters: int = 20
-    k: int = 32
-    frame: int = 256
-    overlap: float = 0.75
-    dict: str = "dct"
-    learn: bool = False
-    reference: Optional[str] = None
-    distortion: str = "clip"
-    theta: Optional[List[float]] = None
-    bits: Optional[List[int]] = None
-    count: int = 2000
-    detect: bool = False
-    stdout: bool = False
-    task: str = "all"
-    text: Optional[str] = None
-
-
-def _command_defaults(command: str) -> RunConfig:
-    cfg = RunConfig(command=command)
-    if command == "synth":
-        cfg.method = "adaptive,fixed"
-        cfg.iters = 400
-    else:
-        cfg.method = "iht"
-        cfg.iters = 50
-    if command == "baseline":
-        cfg.method = "baseline"
-    return cfg
-
-
 def _parse_float_list(text: str) -> List[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
@@ -98,58 +60,103 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-_FIELD_PARSERS = {
-    "seed": int, "iters": int, "inner_iters": int, "k": int, "frame": int,
-    "count": int,
-    "lam": float, "epsilon": float, "decay": float, "overlap": float,
-    "theta": _parse_float_list, "bits": _parse_int_list,
-    "learn": _parse_bool, "detect": _parse_bool, "stdout": _parse_bool,
+def _setting(flag: str, parse, default=None, help: Optional[str] = None):
+    """A RunConfig field that is a CLI setting: its flag ('input' is the
+    positional), the parser of its flag and --config value (_parse_bool: an
+    on-switch) and its help."""
+    return field(default=default, metadata={"cli": (flag, parse, help)})
+
+
+@dataclass
+class RunConfig:
+    """One run's settings: each field but command is a CLI setting."""
+
+    command: str = ""
+    input: Optional[str] = _setting("input", str, help="wav file to read")
+    out: Optional[str] = _setting("--out", str, help="output path")
+    seed: int = _setting("--seed", int, 0)
+    method: str = _setting("--method", str, "", "comma list of fixed,adaptive,iht,baseline")
+    lam: float = _setting("--lambda", float, SolveParams.lam, "l1 weight of the fixed coder")
+    epsilon: float = _setting("--epsilon", float, SolveParams.epsilon,
+                              "consistency target of the adaptive coder")
+    decay: float = _setting("--decay", float, SolveParams.decay,
+                            "lambda factor per adaptive stage")
+    iters: int = _setting("--iters", int, SolveParams.iters,
+                          "iterations per solve, and outer iterations of learning")
+    inner_iters: int = _setting("--inner-iters", int, SolveParams.inner_iters,
+                                "coding and dictionary steps per learning iteration")
+    k: int = _setting("-K", int, SolveParams.k, "nonzeros per iht code")
+    frame: int = _setting("--frame", int, FrameSpec.frame_len, "frame length in samples")
+    overlap: float = _setting("--overlap", float, FrameSpec.overlap, "frame overlap in [0, 1)")
+    dict: str = _setting("--dict", str, "dct", "dct or file:PATH")
+    learn: bool = _setting("--learn", _parse_bool, False, "learn the dictionary as it codes")
+    reference: Optional[str] = _setting("--reference", str, help="clean wav to score against")
+    distortion: str = _setting("--distortion", str, "clip",
+                               "clip or quant; learn-dict also takes onebit and none")
+    theta: Optional[List[float]] = _setting("--theta", _parse_float_list, help="clip level(s)")
+    bits: Optional[List[int]] = _setting("--bits", _parse_int_list, help="quantizer bits")
+    count: int = _setting("--count", int, SyntheticSpec.count, "signals in the ensemble")
+    detect: bool = _setting("--detect", _parse_bool, False, "read the clip level from the input")
+    stdout: bool = _setting("--stdout", _parse_bool, False, "also write the CSV to stdout")
+    task: str = _setting("--task", str, "all", "declip, dequant, onebit or all")
+    text: Optional[str] = _setting("--text", str, help="also export the dictionary as text")
+
+
+_AUDIO = ("input out seed method lam epsilon decay iters inner_iters k frame overlap dict learn "
+          "reference")
+_COMMANDS = {  # subcommand -> (help, defaults, the settings it reads)
+    "synth": ("distortion sweep on a synthetic ensemble", {"method": "adaptive,fixed"},
+              "out seed method lam epsilon decay iters k distortion theta bits count stdout"),
+    "declip": ("declip a wav file", {"method": "iht", "iters": 50},
+               _AUDIO + " theta detect stdout"),
+    "dequant": ("dequantize a wav file", {"method": "iht", "iters": 50}, _AUDIO + " bits stdout"),
+    "onebit": ("recover a wav file from its signs", {"method": "iht", "iters": 50},
+               "input out seed method iters inner_iters k frame overlap dict learn reference "
+               "stdout"),
+    "baseline": ("classical linear baselines", {"iters": 50},
+                 "input out seed iters k frame overlap dict reference theta bits stdout task"),
+    "learn-dict": ("learn a dictionary from a wav file", {"iters": 50},
+                   "input out iters inner_iters k frame overlap dict distortion theta bits text"),
 }
 
 
-def _load_config_file(path) -> dict:
-    """Flat key=value file; leading '# ' is stripped so a previous output CSV
-    can be fed back directly.  Lines without '=' are ignored."""
+def _reads(command: str) -> List[str]:
+    return _COMMANDS[command][2].split()
+
+
+def _load_config_file(path, parsers: dict) -> dict:
+    """The parsed values a flat key=value file gives the settings in parsers
+    (name -> parser).  --config applies only the keys its subcommand reads:
+    other keys and lines without '=' are ignored, and a leading '#' is
+    stripped, so the CSV of any earlier run can be fed back directly."""
     values = {}
     with open(path) as fh:
         for raw in fh:
-            line = raw.strip()
-            if line.startswith("#"):
-                line = line.lstrip("#").strip()
-            if "=" not in line:
-                continue
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
-            if key in {f.name for f in fields(RunConfig)}:
-                values[key] = val
+            key, eq, val = raw.strip().lstrip("#").partition("=")
+            key, val = key.strip(), val.strip()
+            if eq and key in parsers:
+                try:
+                    values[key] = parsers[key](val)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {key}={val}: {exc}") from None
     return values
 
 
-def _merge_config(command: str, args: argparse.Namespace) -> RunConfig:
-    cfg = _command_defaults(command)
-    file_values = {}
-    if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
-    for key, raw in file_values.items():
-        if key == "command":
-            continue
-        try:
-            setattr(cfg, key, _FIELD_PARSERS.get(key, str)(raw))
-        except ValueError as exc:
-            raise ValueError(f"{args.config}: {key}={raw}: {exc}") from None
-    for f in fields(RunConfig):
-        val = getattr(args, f.name, None)
-        if val is not None:
-            setattr(cfg, f.name, val)
-    return cfg
+def _merge_config(args: argparse.Namespace) -> RunConfig:
+    reads = _reads(args.command)
+    parsers = {f.name: f.metadata["cli"][1] for f in fields(RunConfig) if f.name in reads}
+    from_file = _load_config_file(args.config, parsers) if args.config else {}
+    from_flags = {name: getattr(args, name) for name in reads if getattr(args, name) is not None}
+    return RunConfig(command=args.command,
+                     **{**_COMMANDS[args.command][1], **from_file, **from_flags})
 
 
 def _config_lines(cfg: RunConfig) -> List[str]:
+    """command=..., then each setting the command reads that has a value, in field order."""
     lines = []
     for f in fields(cfg):
         val = getattr(cfg, f.name)
-        if val is None:
+        if val is None or f.name not in ("command", *_reads(cfg.command)):
             continue
         if isinstance(val, list):
             val = ",".join(repr(v) for v in val)
@@ -171,61 +178,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Consistent sparse recovery from clipped, quantized and 1-bit data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *, audio: bool):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--method", type=str, default=None,
-                       help="comma list of fixed,adaptive,iht,baseline")
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--decay", type=float, default=None)
-        p.add_argument("--iters", type=int, default=None)
-        p.add_argument("--inner-iters", dest="inner_iters", type=int, default=None)
-        p.add_argument("-K", dest="k", type=int, default=None)
-        p.add_argument("--frame", type=int, default=None)
-        p.add_argument("--overlap", type=float, default=None)
-        p.add_argument("--dict", type=str, default=None, help="dct or file:PATH")
-        p.add_argument("--config", type=str, default=None,
-                       help="key=value file; explicit flags override it")
-        p.add_argument("--stdout", action="store_const", const=True, default=None)
-        if audio:
-            p.add_argument("input", type=str)
-            p.add_argument("--learn", action="store_const", const=True, default=None)
-            p.add_argument("--reference", type=str, default=None)
-
-    p = sub.add_parser("synth", help="distortion sweep on a synthetic ensemble")
-    p.add_argument("--distortion", choices=("clip", "quant"), default=None)
-    p.add_argument("--theta", type=_parse_float_list, default=None)
-    p.add_argument("--bits", type=_parse_int_list, default=None)
-    p.add_argument("--count", type=int, default=None)
-    add_common(p, audio=False)
-
-    p = sub.add_parser("declip", help="declip a wav file")
-    p.add_argument("--theta", type=_parse_float_list, default=None)
-    p.add_argument("--detect", action="store_const", const=True, default=None)
-    add_common(p, audio=True)
-
-    p = sub.add_parser("dequant", help="dequantize a wav file")
-    p.add_argument("--bits", type=_parse_int_list, default=None)
-    add_common(p, audio=True)
-
-    p = sub.add_parser("onebit", help="recover a wav file from its signs")
-    add_common(p, audio=True)
-
-    p = sub.add_parser("baseline", help="classical linear baselines")
-    p.add_argument("--task", choices=(*AUDIO_TASKS, "all"), default=None)
-    p.add_argument("--theta", type=_parse_float_list, default=None)
-    p.add_argument("--bits", type=_parse_int_list, default=None)
-    add_common(p, audio=True)
-
-    p = sub.add_parser("learn-dict", help="learn a dictionary from a wav file")
-    p.add_argument("--distortion", choices=("clip", "quant", "onebit", "none"),
-                   default=None)
-    p.add_argument("--theta", type=_parse_float_list, default=None)
-    p.add_argument("--bits", type=_parse_int_list, default=None)
-    p.add_argument("--text", type=str, default=None, help="also export as text")
-    add_common(p, audio=True)
+    settings = {f.name: f.metadata["cli"] for f in fields(RunConfig) if f.metadata}
+    for command, (summary, _, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name in _reads(command):
+            flag, parse, text = settings[name]
+            kind = (dict(action="store_const", const=True) if parse is _parse_bool
+                    else dict(type=parse))
+            p.add_argument(flag, **kind, help=text,
+                           **({"dest": name} if flag.startswith("-") else {}))
+        p.add_argument("--config", help="key=value file; explicit flags override it")
     return parser
 
 
@@ -323,6 +285,8 @@ def cmd_audio(cfg: RunConfig, task: str) -> int:
 
 
 def cmd_baseline(cfg: RunConfig) -> int:
+    if cfg.task != "all" and cfg.task not in AUDIO_TASKS:
+        raise ValueError(f"unknown task {cfg.task!r} (choose from {','.join(AUDIO_TASKS)},all)")
     samples, rate = wav_read(cfg.input)
     if not cfg.reference:
         raise ValueError("baseline rows report SNR and need --reference")
@@ -341,8 +305,8 @@ def cmd_baseline(cfg: RunConfig) -> int:
 
 
 def cmd_learn_dict(cfg: RunConfig) -> int:
-    samples, _ = wav_read(cfg.input)
     model, _ = distortion(cfg.distortion, _level(cfg, cfg.distortion))
+    samples, _ = wav_read(cfg.input)
     frame_spec = FrameSpec(cfg.frame, cfg.overlap)
     obs, _ = measure_audio(samples, frame_spec, model)
     d0 = _load_dict(cfg, cfg.frame)
@@ -359,23 +323,16 @@ def cmd_learn_dict(cfg: RunConfig) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _merge_config(args.command, args)
-        if cfg.command == "synth":
-            return cmd_synth(cfg)
+        cfg = _merge_config(args)
         if cfg.command in AUDIO_TASKS:
             return cmd_audio(cfg, cfg.command)
-        if cfg.command == "baseline":
-            return cmd_baseline(cfg)
-        if cfg.command == "learn-dict":
-            return cmd_learn_dict(cfg)
-        parser.error(f"unknown command {cfg.command!r}")
+        return {"synth": cmd_synth, "baseline": cmd_baseline,
+                "learn-dict": cmd_learn_dict}[cfg.command](cfg)
     except (ValueError, OSError, RuntimeError) as exc:
         _progress(f"error: {exc}")
         return 1
-    return 0
 
 
 if __name__ == "__main__":

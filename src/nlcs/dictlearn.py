@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List
 
 import numpy as np
 
 from .measurements import Batch
-from .solvers import SolverConfig, _code_matrix, _descend, _evaluate, _resolve_step, _synth_used
+from .solvers import (SolverConfig, _check_length, _code_matrix, _evaluate, _resolve_step,
+                      _synth_used, sparse_code_fixed)
 
 __all__ = [
     "DictLearnConfig",
@@ -93,6 +94,7 @@ def dict_update(d: np.ndarray, codes, batch: Batch, cfg: DictLearnConfig) -> np.
     updated dictionary, its unused atoms bit for bit as given."""
     d = np.asarray(d, dtype=float)
     a = _code_matrix(codes, (d.shape[1], len(batch)))
+    _check_length(d, batch)
     if not np.all(np.isfinite(d)):
         raise ValueError("dictionary must be finite")
     used = np.flatnonzero(np.any(a != 0.0, axis=1))
@@ -123,13 +125,15 @@ def learn(batch: Batch, d0: np.ndarray, cfg: DictLearnConfig,
           init_codes=None, step=None) -> tuple[np.ndarray, np.ndarray, LearnTrace]:
     """Alternating consistent sparse coding and dictionary updates on the
     training batch, one signal per column, its one projector serving every
-    half step.  Codes are warm-started from the previous outer iteration
-    (column t of the returned (M, T) array codes signal t).
+    half step; each coding half step is one sparse_code_fixed call.  Codes
+    are warm-started from the previous outer iteration (column t of the
+    returned (M, T) array codes signal t).
     step, when given, is the first coding half step's: 1 / ||d0||_2^2 as
     its caller has already resolved it.  Atoms that no training code ever
     activates are left untouched and reported through a warning.
     """
     d = np.asarray(d0, dtype=float)
+    _check_length(d, batch)
     norms = np.linalg.norm(d, axis=0)
     if np.any(norms > 1.0 + COLUMN_NORM_SLACK):
         raise ValueError("initial dictionary violates the unit column-norm constraint")
@@ -139,20 +143,19 @@ def learn(batch: Batch, d0: np.ndarray, cfg: DictLearnConfig,
     else:
         a = _code_matrix(init_codes, (d.shape[1], len(batch))).copy()
 
-    projector, code = batch.projector, cfg.inner_code
+    code = cfg.inner_code
     lam = getattr(code.regularizer, "lam", None)  # None: top-K, no penalty
     trace = LearnTrace()
-    step = code.step if code.step is not None else step
+    first = code if code.step is not None or step is None else replace(code, step=step)
     for i in range(cfg.outer_iters):
-        a, totals = _descend(d, projector, a, code, _resolve_step(d, step))[:2]
-        step = code.step
-        if i:  # the kernel's first objective: the codes on the last update's dictionary
-            trace.after_dict.append(float(totals[0]))
-        trace.after_coding.append(float(totals[-1]))
+        a, solve = sparse_code_fixed(d, batch, a, code if i else first)
+        if i:  # the solve's first objective: the codes on the last update's dictionary
+            trace.after_dict.append(float(solve.objectives[0]))
+        trace.after_coding.append(float(solve.objectives[-1]))
         d = dict_update(d, a, batch, cfg)
     if cfg.outer_iters:  # evaluated as the kernel does
         synth = _synth_used if lam is None else np.matmul
-        trace.after_dict.append(float(_evaluate(d, projector, a, synth, lam)[2].sum()))
+        trace.after_dict.append(float(_evaluate(d, batch.projector, a, synth, lam)[2].sum()))
 
     unused = np.flatnonzero(~np.any(a != 0.0, axis=1))
     if unused.size:

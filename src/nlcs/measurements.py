@@ -465,14 +465,15 @@ class Batch:
         if len({isinstance(o.model, GeneralLinear) for o in obs}) > 1:
             raise ValueError("a batch cannot mix GeneralLinear observations with "
                              "separable (interval) ones")
-        if isinstance(first.model, GeneralLinear):
+        linear = isinstance(first.model, GeneralLinear)
+        lengths = sorted({o.model.matrix.shape[1] if linear else o.values.shape[0] for o in obs})
+        if len(lengths) > 1:
+            raise ValueError(f"a batch needs one signal length, got lengths {lengths}")
+        if linear:
             if all(o.model is first.model for o in obs):
                 y = np.stack([o.values for o in obs], axis=1)
                 return cls(_Projection(project_linear, first.model, y), first.model)
             return cls(_Projection(_project_each, np.array(obs, dtype=object)), first.model)
-        lengths = sorted({o.values.shape[0] for o in obs})
-        if len(lengths) > 1:
-            raise ValueError(f"a batch needs one signal length, got lengths {lengths}")
         intervals = [o.intervals() for o in obs]
         return cls.box(first.model, np.stack([o.values for o in obs], axis=1),
                        np.stack([iv.lower for iv in intervals], axis=1),

@@ -132,8 +132,11 @@ class SolverConfig:
 class HomotopyConfig(_ValueEq):
     """Settings of the adaptive (homotopy) coder.
 
-    epsilon is the consistency target: one level for every signal, or for
-    a batch of T signals a 1-d array with one level per column.
+    inner must hold an L1 regularizer, but its weight is never read: the
+    homotopy sets lam itself, from lam0 down by decay.  inner's step,
+    max_iters and rel_tol apply to every stage.  epsilon is the
+    consistency target: one level for every signal, or for a batch of T
+    signals a 1-d array with one level per column.
     """
 
     inner: SolverConfig
@@ -479,11 +482,19 @@ def _code_matrix(codes, shape: tuple, name: str = "codes") -> np.ndarray:
     return a
 
 
+def _check_length(d: np.ndarray, batch: Batch) -> None:
+    """Reject a batch whose signals are not as long as the atoms of d."""
+    n = batch.model.matrix.shape[1] if batch.values is None else batch.values.shape[0]
+    if n != d.shape[0]:
+        raise ValueError(f"signals of length {n} do not match the dictionary's {d.shape[0]} rows")
+
+
 def _as_batch(d: np.ndarray, obs, alpha0):
     """(Batch, (M, T) codes in a new array, single) from one observation with
     (M,) codes, or T observations (a sequence or a Batch) with (M, T) codes."""
     single = isinstance(obs, Observation)
     batch = obs if isinstance(obs, Batch) else Batch.of([obs] if single else obs)
+    _check_length(d, batch)
     shape = (d.shape[1],) if single else (d.shape[1], len(batch))
     a = _code_matrix(alpha0, shape, "alpha0").copy()
     return batch, a[:, None] if single else a, single

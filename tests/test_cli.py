@@ -1,11 +1,12 @@
 import runpy
 import sys
 import wave
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from nlcs.cli import main
+from nlcs.cli import RunConfig, _build_parser, main
 from nlcs.dictlearn import load_dictionary
 from nlcs.linops import dct_dictionary
 from nlcs.pipeline import speech_like_signal, wav_read, wav_write
@@ -403,6 +404,107 @@ class TestMethodList:
             f"error: method '{named}' does not apply to onebit: l1 codes collapse to zero "
             "on sign data (F(0) = 0 < lam ||a||_1 <= F(a) for a != 0)"]
         assert not out.exists() and not (tmp_path / "o.csv").exists()
+
+
+class TestSettings:
+    """Each subcommand takes, applies from --config and records only the settings it reads."""
+
+    # an otherwise valid, quick invocation of each command; OUT is the output path
+    BASE = {
+        "synth": ["--count", "2", "--method", "iht", "--theta", "0.4"],
+        "onebit": ["VOICE", "--iters", "2"],
+        "baseline": ["VOICE", "--task", "dequant", "--reference", "VOICE", "--iters", "2"],
+        "learn-dict": ["VOICE", "--iters", "1", "--inner-iters", "2", "-K", "4"],
+    }
+
+    @pytest.mark.parametrize("command, flag", [
+        ("synth", ["--inner-iters", "5"]), ("synth", ["--frame", "128"]),
+        ("synth", ["--overlap", "0.5"]), ("synth", ["--dict", "dct"]),
+        ("onebit", ["--lambda", "0.01"]), ("onebit", ["--epsilon", "0.001"]),
+        ("onebit", ["--decay", "0.5"]),
+        ("baseline", ["--method", "baseline"]), ("baseline", ["--lambda", "0.01"]),
+        ("baseline", ["--epsilon", "0.001"]), ("baseline", ["--decay", "0.5"]),
+        ("baseline", ["--inner-iters", "5"]), ("baseline", ["--learn"]),
+        ("learn-dict", ["--seed", "1"]), ("learn-dict", ["--method", "iht"]),
+        ("learn-dict", ["--lambda", "0.01"]), ("learn-dict", ["--epsilon", "0.001"]),
+        ("learn-dict", ["--decay", "0.5"]), ("learn-dict", ["--stdout"]),
+        ("learn-dict", ["--learn"]), ("learn-dict", ["--reference", "VOICE"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_flag_the_command_does_not_read_is_refused(self, voice_wav, tmp_path, capsys,
+                                                       command, flag):
+        out = tmp_path / "o.out"
+        args = [voice_wav if a == "VOICE" else a for a in self.BASE[command] + flag]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_settings_match_the_run_config(self):
+        # built from the parser: no setting that no command reads, no flag without a field
+        sub = next(a for a in _build_parser()._actions if a.dest == "command")
+        taken = {command: {a.dest for a in p._actions} - {"help", "config"}
+                 for command, p in sub.choices.items()}
+        names = {f.name for f in fields(RunConfig)} - {"command"}
+        assert set().union(*taken.values()) == names
+        assert sum(len(dests - {"input"}) for dests in taken.values()) == 81  # flags
+
+    @pytest.mark.parametrize("command, args, keys", [
+        ("synth", ["--distortion", "clip", "--theta", "0.4", "--bits", "3", "--method", "fixed",
+                   "--count", "4", "--seed", "2"],
+         "out seed method lam epsilon decay iters k distortion theta bits count stdout"),
+        ("declip", ["VOICE", "--theta", "0.4", "--reference", "VOICE", "--iters", "5"],
+         "input out seed method lam epsilon decay iters inner_iters k frame overlap dict learn "
+         "reference theta detect stdout"),
+        ("dequant", ["VOICE", "--bits", "3", "--reference", "VOICE", "--iters", "5"],
+         "input out seed method lam epsilon decay iters inner_iters k frame overlap dict learn "
+         "reference bits stdout"),
+        ("onebit", ["VOICE", "--reference", "VOICE", "--iters", "5"],
+         "input out seed method iters inner_iters k frame overlap dict learn reference stdout"),
+        ("baseline", ["VOICE", "--theta", "0.4", "--bits", "3", "--reference", "VOICE",
+                      "--iters", "5"],
+         "input out seed iters k frame overlap dict reference theta bits stdout task"),
+    ])
+    def test_csv_records_its_settings_and_replays(self, voice_wav, tmp_path, command, args,
+                                                  keys):
+        audio = command in ("declip", "dequant", "onebit")  # these write a wav and a CSV beside it
+        first, second = (tmp_path / f"{name}.{'wav' if audio else 'csv'}"
+                         for name in ("first", "second"))
+        args = [voice_wav if a == "VOICE" else a for a in args]
+        assert main([command, *args, "--out", str(first)]) == 0
+        first_csv, second_csv = (p.with_suffix(".csv") for p in (first, second))
+        recorded = [line[2:].partition("=")[0] for line in first_csv.read_text().splitlines()
+                    if line.startswith("# ")]
+        assert recorded == ["command", *keys.split()]
+        rerun = [command, voice_wav] if command != "synth" else [command]
+        assert main([*rerun, "--config", str(first_csv), "--out", str(second)]) == 0
+        ta = _strip_runtime(first_csv.read_text()).replace(str(first), "OUT")
+        tb = _strip_runtime(second_csv.read_text()).replace(str(second), "OUT")
+        assert ta == tb
+
+    def test_config_keys_the_command_does_not_read_are_ignored(self, tmp_path):
+        # a declip CSV's frame, dict and detect replay into synth as no-ops
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# command=declip\n# frame=abc\n# dict=file:/nonexistent\n"
+                       "# detect=maybe\n# count=3\n# method=iht\n")
+        out = tmp_path / "rows.csv"
+        assert main(["synth", "--config", str(cfg), "--theta", "0.4", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "# command=synth" in text and "# count=3" in text and "# method=iht" in text
+        assert "frame=" not in text and "dict=" not in text and "detect=" not in text
+
+    @pytest.mark.parametrize("args, message", [
+        (["synth", "--count", "2", "--distortion", "onebit"], "unknown distortion 'onebit'"),
+        (["learn-dict", "VOICE", "--distortion", "bogus"], "unknown distortion 'bogus'"),
+        (["baseline", "VOICE", "--task", "bogus", "--reference", "VOICE"],
+         "unknown task 'bogus' (choose from declip,dequant,onebit,all)"),
+    ], ids=["synth-distortion", "learn-dict-distortion", "baseline-task"])
+    def test_bad_choice_is_one_error_line(self, voice_wav, tmp_path, capsys, args, message):
+        out = tmp_path / "o.out"
+        rc = main([voice_wav if a == "VOICE" else a for a in args] + ["--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
 
 def test_python_dash_m_runs_the_cli(tmp_path, monkeypatch):

@@ -13,7 +13,8 @@ from nlcs.dictlearn import (
     save_dictionary,
 )
 from nlcs.linops import dct_dictionary, spectral_norm
-from nlcs.measurements import Batch, Clip, Identity, Mask, Observation, apply_measurement, cost
+from nlcs.measurements import (Batch, Clip, GeneralLinear, Identity, Mask, Observation,
+                               apply_measurement, cost)
 from nlcs.solvers import L0, L1, SolverConfig, sparse_code_fixed
 
 
@@ -351,6 +352,47 @@ class TestLearn:
         _, _, trace = learn(Batch.of(observations), dct_dictionary(8, 12), cfg)
         assert len(trace.after_dict) == 4
         assert builds == [len(observations)]
+
+    @pytest.mark.parametrize("linear", [False, True], ids=["clip", "linear"])
+    def test_signal_length_must_match_the_atoms(self, linear):
+        # checked before any half step: also with no outer iteration to run
+        rng = np.random.default_rng(24)
+        model = GeneralLinear(rng.standard_normal((4, 9))) if linear else Clip(0.5, -0.5)
+        batch = Batch.of([apply_measurement(model, rng.standard_normal(9)) for _ in range(3)])
+        d0 = dct_dictionary(8, 12)
+        for outer in (0, 2):
+            cfg = DictLearnConfig(SolverConfig(L0(2), max_iters=5), outer_iters=outer)
+            with pytest.raises(ValueError, match="signals of length 9 do not match the "
+                                                 "dictionary's 8 rows"):
+                learn(batch, d0, cfg)
+        with pytest.raises(ValueError, match="length 9 .* 8 rows"):
+            dict_update(d0, np.ones((12, 3)), batch, cfg)
+
+    def test_coding_half_steps_are_sparse_code_fixed_calls(self, monkeypatch):
+        # the caller's step serves the first half step only: a run with it
+        # takes one norm of the dictionary fewer than one without
+        rng = np.random.default_rng(25)
+        train, _, _ = _training_set(rng, m=48, t=10)
+        d0 = dct_dictionary(8, 48)
+        cfg = DictLearnConfig(SolverConfig(L0(2), max_iters=5), outer_iters=3,
+                              inner_dict_iters=2)
+        runs = {}
+        for step in (None, 0.5):
+            steps, norms = [], []
+            code, norm = nlcs.dictlearn.sparse_code_fixed, nlcs.solvers.spectral_norm
+
+            def recording_code(d, batch, a, inner, *args):
+                steps.append(inner.step)
+                return code(d, batch, a, inner, *args)
+
+            monkeypatch.setattr(nlcs.dictlearn, "sparse_code_fixed", recording_code)
+            monkeypatch.setattr(nlcs.solvers, "spectral_norm",
+                                lambda x: norms.append(x.shape) or norm(x))
+            runs[step] = learn(train, d0, cfg, step=step)
+            monkeypatch.undo()
+            assert steps == [step, None, None]
+            assert norms.count(d0.shape) == (3 if step is None else 2)
+        assert not hasattr(nlcs.dictlearn, "_descend")
 
     def test_initial_dictionary_validated(self):
         rng = np.random.default_rng(10)

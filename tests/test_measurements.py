@@ -362,6 +362,15 @@ class TestBatch:
             with pytest.raises(ValueError, match=r"one signal length, got lengths \[8, 9\]"):
                 Batch.of(observations)
 
+    def test_linear_models_of_different_widths_rejected(self):
+        # a GeneralLinear signal is as long as its matrix is wide, not as its measurement
+        rng = np.random.default_rng(14)
+        o8 = apply_measurement(GeneralLinear(rng.standard_normal((4, 8))), rng.standard_normal(8))
+        o9 = apply_measurement(GeneralLinear(rng.standard_normal((4, 9))), rng.standard_normal(9))
+        for observations in ([o8, o9], [o9, o8, o8]):
+            with pytest.raises(ValueError, match=r"one signal length, got lengths \[8, 9\]"):
+                Batch.of(observations)
+
 
 class TestCostGradient:
     def test_member_has_zero_cost_and_gradient(self):

@@ -16,6 +16,7 @@ from nlcs.linops import dct_dictionary, prox_l0_topk, spectral_norm
 from nlcs.measurements import (
     Batch,
     Clip,
+    GeneralLinear,
     Identity,
     Observation,
     OneBit,
@@ -108,6 +109,40 @@ class TestObjective:
             want = cost(obs, d @ alpha) + lam * np.abs(alpha).sum()
             got = objective(d, alpha, obs, SolverConfig(L1(lam)))
             assert abs(got - want) < 1e-14
+
+
+def _length_nine_observations(rng):
+    """Observations of length-9 signals: a Clip alone, a 9-column GeneralLinear
+    alone, and that one next to an 8-column one."""
+    x9 = rng.standard_normal(9)
+    clip = apply_measurement(Clip(0.5, -0.5), x9)
+    wide = apply_measurement(GeneralLinear(rng.standard_normal((4, 9))), x9)
+    narrow = apply_measurement(GeneralLinear(rng.standard_normal((4, 8))), x9[:8])
+    return [[clip], [wide], [narrow, wide]]
+
+
+class TestSignalLength:
+    """The coders reject signals that are not as long as the atoms, naming both lengths."""
+
+    @pytest.mark.parametrize("case", range(3), ids=["clip", "linear", "linear-mixed-widths"])
+    @pytest.mark.parametrize("coder", ["fixed", "adaptive"])
+    def test_rejected_by_both_coders(self, case, coder):
+        observations = _length_nine_observations(np.random.default_rng(40))[case]
+        d = dct_dictionary(8, 12)
+        a0 = np.zeros((12, len(observations)))
+        inner = SolverConfig(L1(1e-2), max_iters=5)
+        solve = (lambda: sparse_code_fixed(d, observations, a0, inner)) if coder == "fixed" \
+            else (lambda: sparse_code_adaptive(d, observations, a0, HomotopyConfig(inner)))
+        shown = (r"a batch needs one signal length, got lengths \[8, 9\]" if case == 2
+                 else r"signals of length 9 do not match the dictionary's 8 rows")
+        with pytest.raises(ValueError, match=shown):
+            solve()
+
+    def test_single_observation_rejected(self):
+        [obs] = _length_nine_observations(np.random.default_rng(41))[0]
+        with pytest.raises(ValueError, match="length 9 .* 8 rows"):
+            sparse_code_fixed(dct_dictionary(8, 12), obs, np.zeros(12),
+                              SolverConfig(L0(2), max_iters=5))
 
 
 class TestSparseCodeFixed:
