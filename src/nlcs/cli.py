@@ -102,6 +102,9 @@ class RunConfig:
     text: Optional[str] = _setting("--text", str, help="also export the dictionary as text")
 
 
+# setting -> (flag, parser, help)
+_SETTINGS = {f.name: f.metadata["cli"] for f in fields(RunConfig) if f.metadata}
+
 _AUDIO = ("input out seed method lam epsilon decay iters inner_iters k frame overlap dict learn "
           "reference")
 _COMMANDS = {  # subcommand -> (help, defaults, the settings it reads)
@@ -144,7 +147,7 @@ def _load_config_file(path, parsers: dict) -> dict:
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     reads = _reads(args.command)
-    parsers = {f.name: f.metadata["cli"][1] for f in fields(RunConfig) if f.name in reads}
+    parsers = {name: _SETTINGS[name][1] for name in reads}
     from_file = _load_config_file(args.config, parsers) if args.config else {}
     from_flags = {name: getattr(args, name) for name in reads if getattr(args, name) is not None}
     return RunConfig(command=args.command,
@@ -178,11 +181,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Consistent sparse recovery from clipped, quantized and 1-bit data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    settings = {f.name: f.metadata["cli"] for f in fields(RunConfig) if f.metadata}
     for command, (summary, _, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
         for name in _reads(command):
-            flag, parse, text = settings[name]
+            flag, parse, text = _SETTINGS[name]
             kind = (dict(action="store_const", const=True) if parse is _parse_bool
                     else dict(type=parse))
             p.add_argument(flag, **kind, help=text,
