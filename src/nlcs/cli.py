@@ -175,8 +175,22 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one line naming the (sub)command, with argparse's status 2.  A
+    subcommand refuses what it does not know: argparse would pass it up to the top level."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nlcs",
         description="Consistent sparse recovery from clipped, quantized and 1-bit data",
     )

@@ -138,17 +138,19 @@ def learn(batch: Batch, d0: np.ndarray, cfg: DictLearnConfig,
     if np.any(norms > 1.0 + COLUMN_NORM_SLACK):
         raise ValueError("initial dictionary violates the unit column-norm constraint")
 
-    if init_codes is None:
-        a = np.zeros((d.shape[1], len(batch)))
-    else:
-        a = _code_matrix(init_codes, (d.shape[1], len(batch))).copy()
+    a = (np.zeros((d.shape[1], len(batch))) if init_codes is None
+         else _code_matrix(init_codes, (d.shape[1], len(batch))).copy())
+    del init_codes  # the copy is the only start codes learn holds
 
     code = cfg.inner_code
     lam = getattr(code.regularizer, "lam", None)  # None: top-K, no penalty
     trace = LearnTrace()
     first = code if code.step is not None or step is None else replace(code, step=step)
     for i in range(cfg.outer_iters):
-        a, solve = sparse_code_fixed(d, batch, a, code if i else first)
+        # the coder copies its start: popped into it, the warm-start codes exist once
+        warm = [a]
+        del a
+        a, solve = sparse_code_fixed(d, batch, warm.pop(), code if i else first)
         if i:  # the solve's first objective: the codes on the last update's dictionary
             trace.after_dict.append(float(solve.objectives[0]))
         trace.after_coding.append(float(solve.objectives[-1]))

@@ -160,19 +160,16 @@ def _solve(d, batch: Batch, method, params: SolveParams, *, step: Optional[float
     """
     step = _resolve_step(d, step)
     k = params.k if method == "iht" else None
-    if classical_start:
-        a0 = _classical_init(d, batch, k, step)
-    else:
-        a0 = np.zeros((d.shape[1], len(batch)))
+    # popped into the coder, which copies it: the start codes exist once in the solve
+    start = [_classical_init(d, batch, k, step) if classical_start
+             else np.zeros((d.shape[1], len(batch)))]
     reg = L1(params.lam) if k is None else L0(k)
     cfg = SolverConfig(reg, step=step, max_iters=params.iters)
     if method == "adaptive":
         eps = params.epsilon if stop is None else stop
         hcfg = HomotopyConfig(cfg, epsilon=eps, decay=params.decay)
-        codes, _ = sparse_code_adaptive(d, batch, a0, hcfg)
-    else:
-        codes, _ = sparse_code_fixed(d, batch, a0, cfg, stop_consistency=stop)
-    return codes
+        return sparse_code_adaptive(d, batch, start.pop(), hcfg)[0]
+    return sparse_code_fixed(d, batch, start.pop(), cfg, stop_consistency=stop)[0]
 
 
 def _estimate(d, codes, batch: Batch) -> np.ndarray:
@@ -313,14 +310,14 @@ def learn_dictionary(d, batch: Batch, params: SolveParams, step: Optional[float]
     dl = DictLearnConfig(inner_code=cfg, outer_iters=params.outer_iters,
                          inner_dict_iters=params.inner_iters)
     step = _resolve_step(d, step)
-    a0 = _classical_init(d, batch, params.k, step)
-    return learn(batch, d, dl, init_codes=a0, step=step)
+    return learn(batch, d, dl, init_codes=_classical_init(d, batch, params.k, step), step=step)
 
 
 def _estimates(d, obs: Observation, spec: FrameSpec, method: str, task: str,
                params: SolveParams, step: float) -> Iterator[np.ndarray]:
     """A method's (N, b) estimates of the frames of obs in blocks of
-    BLOCK_FRAMES, in frame order."""
+    BLOCK_FRAMES, in frame order; a block's batch and codes are dropped
+    once its estimate has been consumed, so one block is alive at a time."""
     stop = None
     if method == "baseline":  # IHT from zero on the classical substitutes
         [obs], stop = _baseline_observations([obs], task, spec.frame_len)
@@ -330,6 +327,7 @@ def _estimates(d, obs: Observation, spec: FrameSpec, method: str, task: str,
         codes = _solve(d, batch, "iht" if method == "baseline" else method, params,
                        step=step, classical_start=method == "iht", stop=stop)
         yield _estimate(d, codes, batch)
+        del batch, codes  # dead before the next block is framed and solved
 
 
 @dataclass

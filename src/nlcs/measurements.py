@@ -54,6 +54,8 @@ VALUE_MATCH_RTOL = 1e-9
 # condition-number ceiling above which a general linear model is rejected
 MAX_GRAM_CONDITION = 1e12
 
+QUANTIZER_CHUNK = 1 << 14  # samples per quantizer bin lookup, whatever the input's length
+
 
 class SingularModelError(ValueError):
     """Sensing matrix is (numerically) rank deficient."""
@@ -384,7 +386,8 @@ def feasibility_intervals(obs: Observation) -> IntervalSet:
 
     Quantizer bins are closed on both sides here: closing the pre-image does
     not change distances to it, and it keeps the projection single-valued on
-    bin boundaries.
+    bin boundaries.  A GeneralQuantizer is looked up QUANTIZER_CHUNK samples
+    at a time (a sample's bin is its own), so the lookup's temporaries stay small.
     """
     y = obs.values
     m = obs.model
@@ -398,8 +401,12 @@ def feasibility_intervals(obs: Observation) -> IntervalSet:
         half = m.delta / 2.0
         return IntervalSet(y - half, y + half)
     if isinstance(m, GeneralQuantizer):
-        idx = _quantizer_bin_index(m, y)
-        return IntervalSet(m.edges[idx], m.edges[idx + 1])
+        lower, upper = np.empty(y.shape), np.empty(y.shape)
+        for start in range(0, y.shape[0], QUANTIZER_CHUNK):
+            chunk = slice(start, start + QUANTIZER_CHUNK)
+            idx = _quantizer_bin_index(m, y[chunk])
+            lower[chunk], upper[chunk] = m.edges[idx], m.edges[idx + 1]
+        return IntervalSet(lower, upper)
     if isinstance(m, OneBit):
         pos = y > 0
         return IntervalSet(np.where(pos, 0.0, -np.inf), np.where(pos, np.inf, 0.0))

@@ -169,8 +169,8 @@ def overlap_add(frames, spec: FrameSpec, out_len: int) -> np.ndarray:
 
     frames is one (frame_len, count) array, or an iterator of such blocks
     in frame order that cover out_len samples.  Each block is added as it
-    comes, frame by frame, so only one need exist at a time and the sums
-    are bitwise those of the stacked array.
+    comes, frame by frame, and dropped before the next is asked for: one
+    exists at a time, and the sums are bitwise those of the stacked array.
     """
     n, hop = spec.frame_len, spec.hop
     blocks = frames if isinstance(frames, Iterator) else [np.asarray(frames, dtype=float)]
@@ -179,10 +179,11 @@ def overlap_add(frames, spec: FrameSpec, out_len: int) -> np.ndarray:
     for block in blocks:
         if block.shape[0] != n:
             raise ValueError("frame length does not match the spec")
-        for frame in block.T:
-            acc[j * hop : j * hop + n] += frame
+        for i in range(block.shape[1]):
+            acc[j * hop : j * hop + n] += block[:, i]
             cov[j * hop : j * hop + n] += 1.0
             j += 1
+        del block
     return acc[:out_len] / cov[:out_len]  # an iterator's acc runs on past its last frame
 
 

@@ -289,19 +289,18 @@ class _TopKScreen:
             self.r_ref = self.r_ref[:, keep]
 
     def step(self, a: np.ndarray, r: np.ndarray, data: np.ndarray) -> np.ndarray:
-        """The new codes from the codes a, their residual r and data terms."""
+        """The new codes from the codes a, their residual r and data terms, written
+        into a and returned: a held column's values on its unchanged S, the rest by _select."""
         if not self.dense:
             held, g_used, at = self._certify(a, r, data)
         if self.dense or 2 * np.count_nonzero(held) < held.size:  # gathering the rest costs more
             return self._select(a, r, data)
-        out = np.zeros(a.shape)
         h = np.flatnonzero(held)
-        out.reshape(-1)[self.rows[:, h] * a.shape[1] + h] = g_used.reshape(-1)[at[:, h]]
+        a[self.rows[:, h], h] = g_used.reshape(-1)[at[:, h]]  # a's nonzeros are S's already
         del g_used, at  # free them before the full step
         if h.size < held.size:
-            redo = np.flatnonzero(~held)
-            out[:, redo] = self._select(a, r, data, redo)
-        return out
+            self._select(a, r, data, np.flatnonzero(~held))
+        return a
 
     def _gradient(self, a, r):
         g = self.d.T @ r
@@ -342,8 +341,8 @@ class _TopKScreen:
 
     def _select(self, a, r, data, redo=None):
         """The full step on the columns redo (None: every column), which
-        then refresh S, their bound and their reference residual; returns
-        their codes."""
+        then refresh S, their bound and their reference residual: their
+        codes are zeroed and their new S written into a, which is returned."""
         whole = redo is None
         r_sub = r if whole else r[:, redo]
         g = self._gradient(a if whole else a[:, redo], r_sub)
@@ -356,8 +355,8 @@ class _TopKScreen:
             self.rows[:, redo] = rows
         cols = np.arange(g.shape[1])
         values = g[rows, cols]
-        codes = np.zeros(g.shape)
-        codes[rows, cols] = values
+        a[:, slice(None) if whole else redo] = 0.0
+        a[rows, cols if whole else redo] = values
         kept = values != 0.0
         fresh = np.zeros(self.where.shape, bool)
         fresh[rows[kept]] = True  # the atoms the codes hold
@@ -365,7 +364,7 @@ class _TopKScreen:
         if fresh.any():
             self._grow(np.flatnonzero(fresh))
         if self.dense:
-            return codes
+            return a
         mag = np.abs(g, out=g)
         mag[self.used] = 0.0  # leaves the atoms outside U
         m = np.where(np.logical_and.reduce(kept, axis=0), np.maximum.reduce(mag, axis=0), np.inf)
@@ -374,7 +373,7 @@ class _TopKScreen:
         else:
             self.r_ref[:, redo], self.m[redo] = r_sub, m
             self.ref_norm[redo] = np.sqrt(2.0 * data[redo])
-        return codes
+        return a
 
     def _grow(self, atoms: np.ndarray) -> None:
         self.where[atoms] = np.arange(self.used.size, self.used.size + atoms.size)
@@ -389,7 +388,7 @@ def _descend(d: np.ndarray, projector, a: np.ndarray, cfg: SolverConfig,
              mu: float, stop_consistency: Union[float, np.ndarray, None] = None,
              homotopy: Optional[tuple] = None):
     """Proximal gradient descent on the columns of the (M, T) code matrix a,
-    whose storage may hold the result.
+    whose storage may hold the result: top-K steps write into it.
 
     A column's stage ends on its own test (a relative objective change of
     at most cfg.rel_tol or, at a fixed lam, a data term at or below
@@ -449,6 +448,7 @@ def _descend(d: np.ndarray, projector, a: np.ndarray, cfg: SolverConfig,
                 lam, stop, stage, begin, cols = sched
                 projector = projector.columns(keep)
                 if screen is not None:
+                    a = np.ascontiguousarray(a)  # C-ordered, for D a's product path
                     screen.columns(keep)
             threshold, cap_at = lam * mu, np.minimum.reduce(begin) + cfg.max_iters
         k += 1
@@ -513,6 +513,7 @@ def sparse_code_fixed(d: np.ndarray, obs: Union[Observation, Sequence[Observatio
     column) or cfg.max_iters is hit.
     """
     batch, a, single = _as_batch(d, obs, alpha0)
+    del alpha0  # a is the solve's own copy: the start codes exist once
     a, totals, stopped, level = _descend(d, batch.projector, a, cfg,
                                          _resolve_step(d, cfg.step), stop_consistency)
     return a[:, 0] if single else a, SolveTrace(
@@ -544,6 +545,7 @@ def sparse_code_adaptive(d: np.ndarray, obs: Union[Observation, Sequence[Observa
     converged=False.
     """
     batch, a, single = _as_batch(d, obs, alpha0)
+    del alpha0  # a is the solve's own copy: the start codes exist once
     t_count = a.shape[1]
     if np.ndim(hcfg.epsilon) == 1 and hcfg.epsilon.shape[0] != t_count:
         raise ValueError(f"epsilon holds {hcfg.epsilon.shape[0]} levels for "

@@ -352,6 +352,19 @@ def test_bad_invocation_is_one_error_line(voice_wav, tmp_path, capsys, args, sho
     assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(shown)
 
 
+@pytest.mark.parametrize("args, shown", [
+    (["synth", "--count", "2", "--frame", "128"], "unrecognized arguments: --frame 128"),
+    (["synth", "--count", "2", "--iters", "abc"], "argument --iters: invalid int value: 'abc'"),
+], ids=["flag-synth-does-not-take", "iters-abc"])
+def test_bad_usage_is_one_error_line(capsys, args, shown):
+    # a usage error is argparse's, with its status 2 (program errors exit 1),
+    # on one line that names the subcommand
+    with pytest.raises(SystemExit) as stop:
+        main(args)
+    assert stop.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: nlcs synth: {shown}"]
+
+
 class TestMethodList:
     """--method is checked before anything is solved, with a one-line error."""
 

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -419,6 +424,50 @@ class TestFrameBlocks:
                 tracemalloc.stop()
         assert peaks[1] < 2.0 * peaks[0]
 
+    def test_one_block_is_alive_at_a_time(self, short_signal, monkeypatch):
+        # each block's batch, codes and estimate are dead before the next
+        # block's solve starts: 122 frames in 4 blocks, for two methods
+        monkeypatch.setattr(nlcs.experiments, "BLOCK_FRAMES", 32)
+        solve, estimate = nlcs.experiments._solve, nlcs.experiments._estimate
+        refs, alive = [], []
+
+        def watched_solve(d, batch, *args, **kwargs):
+            alive.append([r() is not None for r in refs])
+            refs.append(weakref.ref(batch))
+            codes = solve(d, batch, *args, **kwargs)
+            refs.append(weakref.ref(codes))
+            return codes
+
+        def watched_estimate(d, codes, batch):
+            z = estimate(d, codes, batch)
+            refs.append(weakref.ref(z))
+            return z
+
+        monkeypatch.setattr(nlcs.experiments, "_solve", watched_solve)
+        monkeypatch.setattr(nlcs.experiments, "_estimate", watched_estimate)
+        run_audio("dequant", short_signal, self.FS, PARAMS_SMALL, ["iht", "baseline"], level=12)
+        assert [len(a) for a in alive] == [3 * i for i in range(8)]
+        assert not any(any(a) for a in alive)
+
+    def test_a_block_solve_holds_one_code_matrix(self, short_signal):
+        # one 256-frame block of 12-bit audio: the start codes exist once and
+        # each top-K step writes into the codes, so a second (512, 256) code
+        # array (1 MiB) would cross the bound; the parent's peak was 6.94 MiB
+        x = np.tile(short_signal, 3)
+        obs, _ = measure_audio(x, self.FS, uniform_quantizer_for_bits(12))
+        batch, d = frame_batch(obs, self.FS, slice(0, 256)), dct_dictionary(256, 512)
+        step = nlcs.solvers._resolve_step(d)
+        params = SolveParams(iters=50, k=32)
+        _solve(d, batch, "iht", params, step=step, classical_start=True)  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            _solve(d, batch, "iht", params, step=step, classical_start=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(batch) == 256
+        assert peak < 5.25 * 2**20  # 4.73 MiB measured
+
     def test_learning_takes_one_norm_per_outer_iteration(self, short_signal, monkeypatch):
         # the classical start's 1/||D||^2 also serves learn's first coding
         # step: outer_iters norms of the dictionary in all, and the same D
@@ -464,3 +513,24 @@ def test_dequant_learning_improves_on_stiff_signal(tmp_path):
     learned = snr_of(tmp_path / "dl.csv")
     fixed = snr_of(tmp_path / "sc.csv")
     assert learned >= fixed
+
+
+@pytest.mark.slow
+def test_long_dequant_peaks_within_a_tenth_of_declip():
+    # ROADMAP item 9 as a check: 24 s of 12-bit dequant and of declip at
+    # theta = 0.2, each in its own process, peak within 10 % of each other in
+    # RSS (the per-sample quantizer lookup once made dequant 16 % larger here)
+    child = ("import resource, sys\n"
+             "from nlcs.experiments import SolveParams, run_audio\n"
+             "from nlcs.pipeline import FrameSpec, speech_like_signal\n"
+             "task, level = sys.argv[1], sys.argv[2]\n"
+             "x = 0.9 * speech_like_signal(seed=3, seconds=24.0)\n"
+             "run_audio(task, x, FrameSpec(), SolveParams(iters=50),\n"
+             "          level=float(level) if task == 'declip' else int(level))\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = str(Path(nlcs.experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    peak = {task: int(subprocess.run([sys.executable, "-c", child, task, level], env=env,
+                                     capture_output=True, text=True, check=True).stdout)
+            for task, level in (("declip", "0.2"), ("dequant", "12"))}
+    assert peak["dequant"] <= 1.10 * peak["declip"], peak

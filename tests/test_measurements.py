@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import nlcs.measurements
+
 from conftest import (
     FAMILIES,
     SEPARABLE_FAMILIES,
@@ -169,6 +171,28 @@ class TestQuantizerBinIndex:
             tracemalloc.stop()
         assert len(iv) == 4096
         assert peak < 4 * 2**20
+
+    def test_bounds_in_chunks_match_one_lookup(self, monkeypatch):
+        # codewords 1e-10 and 0.0 tie at 5e-11 (the lower index, bin 1, wins),
+        # 0.0 and 0.3 sit on their bins' lower edges, the outer bins are open
+        q = GeneralQuantizer(np.array([-np.inf, -0.5, 0.0, 0.3, 0.6, np.inf]),
+                             np.array([-0.75, 1e-10, 0.0, 0.3, 0.75]))
+        legal = np.concatenate((q.codewords, [0.5e-10, 0.3 + 1e-12, 0.75 - 1e-11]))
+        y = np.random.default_rng(9).choice(legal, 100)
+        y[[0, 50, 99]] = 0.5e-10
+        whole = _quantizer_bin_index(q, y)
+        want = q.edges[whole], q.edges[whole + 1]
+        monkeypatch.setattr(nlcs.measurements, "QUANTIZER_CHUNK", 7)  # 15 chunks, the last of 2
+        iv = feasibility_intervals(Observation(y, q))
+        assert_bitwise_equal(iv.lower, want[0])
+        assert_bitwise_equal(iv.upper, want[1])
+        assert iv.lower[99] == -0.5 and iv.upper[99] == 0.0
+        assert np.isinf(iv.lower).any() and np.isinf(iv.upper).any()
+        y = y.copy()  # the observation made its values read-only
+        y[98] = 0.1  # illegal, in the last chunk
+        with pytest.raises(ValueError,
+                           match="^observation values are not legal quantizer codewords$"):
+            feasibility_intervals(Observation(y, q))
 
 
 class TestProject:

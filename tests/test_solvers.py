@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import nlcs.measurements
 import nlcs.solvers
 from conftest import (
     FAMILIES,
@@ -185,6 +186,35 @@ class TestSparseCodeFixed:
             sparse_code_fixed(d, observations, a0, cfg, stop_consistency=eps)
         for x, y in zip((d, a0, eps), kept):
             assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("coder", ["fixed-l0", "fixed-l1", "adaptive"])
+    @pytest.mark.parametrize("batched", [False, True], ids=["one", "batch"])
+    def test_the_start_codes_are_left_bit_for_bit(self, coder, batched, monkeypatch):
+        # the coders step in their own copy of the start (top-K steps write
+        # into it), and a batch's columns leave it at different iterations
+        rng = np.random.default_rng(41)
+        d = rng.standard_normal((32, 64))
+        d /= np.linalg.norm(d, axis=0)
+        x = np.tanh(d[:, rng.choice(64, (3, 6))].sum(axis=1))
+        observations = [apply_measurement(Clip(0.4, -0.4), c) for c in x.T]
+        a0 = prox_l0_topk(0.1 * (d.T @ x), 4)  # a warm support for the top-K screen
+        a0[a0 == 0.0] = -0.0
+        levels = np.array([1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 1e-4])
+        if not batched:
+            observations, a0, levels = observations[0], a0[:, 0].copy(), levels[0]
+        kept = a0.copy()
+        widths, columns = [], nlcs.measurements._Projection.columns
+        monkeypatch.setattr(nlcs.measurements._Projection, "columns",
+                            lambda self, cols: widths.append(len(cols)) or columns(self, cols))
+        cfg = SolverConfig(L0(4) if coder == "fixed-l0" else L1(1e-3), max_iters=200)
+        if coder == "adaptive":
+            codes, _ = sparse_code_adaptive(d, observations, a0,
+                                            HomotopyConfig(cfg, epsilon=levels))
+        else:
+            codes, _ = sparse_code_fixed(d, observations, a0, cfg, stop_consistency=levels)
+        assert_bitwise_equal(a0, kept)
+        assert not np.shares_memory(codes, a0)
+        assert len(set(widths)) >= (2 if batched else 0)  # columns left more than once
 
     def test_synthetic_instance_trace(self):
         rng = np.random.default_rng(4)
@@ -913,7 +943,7 @@ class TestTopKScreen:
         screen = nlcs.solvers._TopKScreen(d, 2, 0.5, a)
         r = 1e-3 * rng.standard_normal((16, 3))
         r[0, 1] = 16.0
-        new = screen.step(a, r, 0.5 * np.sum(r * r, axis=0))
+        new = screen.step(a.copy(), r, 0.5 * np.sum(r * r, axis=0))
         assert np.array_equal(new != 0.0, a != 0.0)
         assert np.all(screen.m < np.inf) and screen.m[1] < 6.0  # every column has a bound
         return d, screen, new, r
@@ -929,7 +959,7 @@ class TestTopKScreen:
         data = 0.5 * np.sum(r * r, axis=0)
         held = screen._certify(a, r, data)[0]
         assert held.tolist() == [True, False, True]
-        new = screen.step(a, r, data)
+        new = screen.step(a.copy(), r, data)  # the step writes into its codes
         g = a + 0.5 * (d.T @ r)
         np.testing.assert_allclose(new, prox_l0_topk(g, 2), rtol=1e-12, atol=0.0)
         assert new[atom, 1] != 0.0 and screen.where[atom] >= 0
