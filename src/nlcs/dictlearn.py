@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
@@ -122,15 +122,13 @@ def dict_update(d: np.ndarray, codes, batch: Batch, cfg: DictLearnConfig) -> np.
 
 
 def learn(batch: Batch, d0: np.ndarray, cfg: DictLearnConfig,
-          init_codes=None, step=None) -> tuple[np.ndarray, np.ndarray, LearnTrace]:
+          init_codes=None) -> tuple[np.ndarray, np.ndarray, LearnTrace]:
     """Alternating consistent sparse coding and dictionary updates on the
     training batch, one signal per column, its one projector serving every
     half step; each coding half step is one sparse_code_fixed call.  Codes
     are warm-started from the previous outer iteration (column t of the
-    returned (M, T) array codes signal t).
-    step, when given, is the first coding half step's: 1 / ||d0||_2^2 as
-    its caller has already resolved it.  Atoms that no training code ever
-    activates are left untouched and reported through a warning.
+    returned (M, T) array codes signal t).  Atoms that no training code
+    ever activates are left untouched and reported through a warning.
     """
     d = np.asarray(d0, dtype=float)
     _check_length(d, batch)
@@ -145,12 +143,11 @@ def learn(batch: Batch, d0: np.ndarray, cfg: DictLearnConfig,
     code = cfg.inner_code
     lam = getattr(code.regularizer, "lam", None)  # None: top-K, no penalty
     trace = LearnTrace()
-    first = code if code.step is not None or step is None else replace(code, step=step)
     for i in range(cfg.outer_iters):
         # the coder copies its start: popped into it, the warm-start codes exist once
         warm = [a]
         del a
-        a, solve = sparse_code_fixed(d, batch, warm.pop(), code if i else first)
+        a, solve = sparse_code_fixed(d, batch, warm.pop(), code)
         if i:  # the solve's first objective: the codes on the last update's dictionary
             trace.after_dict.append(float(solve.objectives[0]))
         trace.after_coding.append(float(solve.objectives[-1]))

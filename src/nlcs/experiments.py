@@ -298,19 +298,17 @@ def _classical_init(d, batch: Batch, k: Optional[int],
     return a0
 
 
-def learn_dictionary(d, batch: Batch, params: SolveParams, step: Optional[float] = None):
+def learn_dictionary(d, batch: Batch, params: SolveParams):
     """Learn a dictionary from d with the iht coder; learn's (d, codes, trace).
 
-    The codes start from _classical_init's step, not from zero, and the
-    first coding half step shares it (1 / ||d||_2^2, resolved when None).
-    Coding and each dictionary update take params.inner_iters steps,
-    params.outer_iters times.
+    The codes start from _classical_init's step, not from zero.  Coding and
+    each dictionary update take params.inner_iters steps, params.outer_iters
+    times.
     """
     cfg = SolverConfig(L0(params.k), max_iters=params.inner_iters)
     dl = DictLearnConfig(inner_code=cfg, outer_iters=params.outer_iters,
                          inner_dict_iters=params.inner_iters)
-    step = _resolve_step(d, step)
-    return learn(batch, d, dl, init_codes=_classical_init(d, batch, params.k, step), step=step)
+    return learn(batch, d, dl, init_codes=_classical_init(d, batch, params.k))
 
 
 def _estimates(d, obs: Observation, spec: FrameSpec, method: str, task: str,
@@ -328,6 +326,14 @@ def _estimates(d, obs: Observation, spec: FrameSpec, method: str, task: str,
                        step=step, classical_start=method == "iht", stop=stop)
         yield _estimate(d, codes, batch)
         del batch, codes  # dead before the next block is framed and solved
+
+
+def _learned_estimates(d, obs: Observation, spec: FrameSpec, params: SolveParams) -> np.ndarray:
+    """The (N, count) estimates of every frame of obs, coded on a dictionary
+    learned from them (D couples the frames); its batch and codes die here."""
+    batch = frame_batch(obs, spec)
+    d, codes, _ = learn_dictionary(d, batch, params)
+    return _estimate(d, codes, batch)
 
 
 @dataclass
@@ -378,16 +384,15 @@ def run_audio(task: str, samples: np.ndarray, frame_spec: FrameSpec,
     results = []
     for method in methods:
         t0 = time.perf_counter()
-        if learn_dict and method != "baseline":  # the iht coder, as check_methods allows
-            batch = frame_batch(obs, frame_spec)
-            d, codes, _ = learn_dictionary(dictionary, batch, params, step)
-            estimates = _estimate(d, codes, batch)
-        else:
-            estimates = _estimates(dictionary, obs, frame_spec, method, task, params, step)
-        estimate = overlap_add(estimates, frame_spec, len(samples))
+        learned = learn_dict and method != "baseline"  # the iht coder, as check_methods allows
+        # no local keeps the estimates: they die before the next method runs
+        estimate = overlap_add(
+            _learned_estimates(dictionary, obs, frame_spec, params) if learned
+            else _estimates(dictionary, obs, frame_spec, method, task, params, step),
+            frame_spec, len(samples))
         runtime = setup + time.perf_counter() - t0
         snr = None if reference is None else (
             angular_snr_db if task == "onebit" else snr_db)(estimate, reference)
-        label = method + ("+learn" if learn_dict and method != "baseline" else "")
+        label = method + ("+learn" if learned else "")
         results.append(AudioResult(estimate, tag, label, runtime, snr))
     return results

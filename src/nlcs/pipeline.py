@@ -248,7 +248,8 @@ def wav_write(path, samples, rate: int) -> None:
     x = np.clip(x, -1.0, 1.0 - 1.0 / PCM_SCALE)
     v = x * PCM_SCALE
     q = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype("<i2")
-    with wave.open(str(path), "wb") as fh:
+    # wave.open(path) leaves a half-built writer whose __del__ fails when the open fails
+    with open(path, "wb") as raw, wave.open(raw, "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(rate)

@@ -236,6 +236,26 @@ def consistency_level(d: np.ndarray, alpha: np.ndarray, obs: Observation) -> flo
     return _objective_of_one(d, alpha, obs, None)
 
 
+def _gradient_step(x: np.ndarray, r: np.ndarray, mu: float, a: np.ndarray) -> np.ndarray:
+    """The gradient step a + mu X^T r, in the product's new array."""
+    g = x.T @ r
+    g *= mu
+    g += a
+    return g
+
+
+def _strict_top_k(g: np.ndarray, rows: np.ndarray, floor=None) -> np.ndarray:
+    """Per column of g, whether its (k, T) rows hold its strict top-K: their
+    smallest |g| beats every other |g| in the column, and floor when given
+    (one value per column).  NaN fails."""
+    mag = np.abs(g)
+    cols = np.arange(g.shape[1])
+    low = np.minimum.reduce(mag[rows, cols], axis=0)
+    mag[rows, cols] = -np.inf
+    held = low > np.maximum.reduce(mag, axis=0)
+    return held if floor is None else held & (low > floor)
+
+
 class _TopKScreen:
     """The top-K step a <- top_k(a + mu D^T r) on the (M, T) codes of one
     solve, multiplying only the atoms in use where a bound allows.
@@ -296,67 +316,42 @@ class _TopKScreen:
         if self.dense or 2 * np.count_nonzero(held) < held.size:  # gathering the rest costs more
             return self._select(a, r, data)
         h = np.flatnonzero(held)
-        a[self.rows[:, h], h] = g_used.reshape(-1)[at[:, h]]  # a's nonzeros are S's already
+        a[self.rows[:, h], h] = g_used[at[:, h], h]  # a's nonzeros are S's already
         del g_used, at  # free them before the full step
         if h.size < held.size:
             self._select(a, r, data, np.flatnonzero(~held))
         return a
 
-    def _gradient(self, a, r):
-        g = self.d.T @ r
-        g *= self.mu
-        g += a
-        return g
-
     def _certify(self, a, r, data):
-        """(columns proved to keep S, g on U, S's flat places in g) for the
-        codes a and residual r; the last two are None when no column has a
-        bound yet."""
+        """(columns proved to keep S, g on U, S's rows in g) for the codes a
+        and residual r; the last two are None when no column has a bound yet."""
         m = self.m
         if not np.logical_or.reduce(m < np.inf):
             return np.zeros(m.shape, bool), None, None
-        # S's places in g: a column with a bound has S in U, one without reads any place
-        at = np.maximum(self.where[self.rows], 0) * m.size + np.arange(m.size)
-        g = self.d_used.T @ r
-        g *= self.mu
-        g += a[self.used]
-        mag = np.abs(g).reshape(-1)
-        low = np.minimum.reduce(mag[at], axis=0)
-        mag[at] = -np.inf
+        at = np.maximum(self.where[self.rows], 0)  # a column without a bound reads any row
+        g = _gradient_step(self.d_used, r, self.mu, a[self.used])
         drift = np.subtract(r, self.r_ref)
         drift = np.sqrt(np.add.reduce(np.square(drift, out=drift), axis=0))
         bound = (m + self.reach * drift) * (1.0 + 1e-9)
         bound += self.reach * self.tol * (np.sqrt(2.0 * data) + self.ref_norm)
-        high = np.maximum.reduce(mag.reshape(g.shape), axis=0)
-        return (low > high) & (low > bound), g, at
-
-    def _moved(self, g, rows):
-        """The columns of g whose S (the (k, T) rows) is not its strict
-        top-K: its smallest magnitude does not beat the largest outside."""
-        mag = np.abs(g)
-        cols = np.arange(g.shape[1])
-        low = np.minimum.reduce(mag[rows, cols], axis=0)
-        mag[rows, cols] = -np.inf
-        return np.flatnonzero(~(low > np.maximum.reduce(mag, axis=0)))  # NaN fails too
+        return _strict_top_k(g, at, bound), g, at
 
     def _select(self, a, r, data, redo=None):
         """The full step on the columns redo (None: every column), which
         then refresh S, their bound and their reference residual: their
         codes are zeroed and their new S written into a, which is returned."""
-        whole = redo is None
-        r_sub = r if whole else r[:, redo]
-        g = self._gradient(a if whole else a[:, redo], r_sub)
-        rows = self.rows if whole else self.rows[:, redo]
-        moved = self._moved(g, rows)
+        cols = slice(None) if redo is None else redo  # a slice keeps a, r and S as views
+        r_sub = r[:, cols]
+        g = _gradient_step(self.d, r_sub, self.mu, a[:, cols])
+        rows = self.rows[:, cols]
+        moved = np.flatnonzero(~_strict_top_k(g, rows))
         if moved.size:
             keep = _topk_keep(g if moved.size == g.shape[1] else g[:, moved], self.k)
             rows[:, moved] = np.nonzero(keep.T)[1].reshape(-1, self.k).T
-        if not whole:
-            self.rows[:, redo] = rows
-        cols = np.arange(g.shape[1])
-        values = g[rows, cols]
-        a[:, slice(None) if whole else redo] = 0.0
-        a[rows, cols if whole else redo] = values
+            self.rows[:, cols] = rows
+        values = g[rows, np.arange(g.shape[1])]
+        a[:, cols] = 0.0
+        a[rows, np.arange(a.shape[1])[cols]] = values
         kept = values != 0.0
         fresh = np.zeros(self.where.shape, bool)
         fresh[rows[kept]] = True  # the atoms the codes hold
@@ -367,12 +362,13 @@ class _TopKScreen:
             return a
         mag = np.abs(g, out=g)
         mag[self.used] = 0.0  # leaves the atoms outside U
-        m = np.where(np.logical_and.reduce(kept, axis=0), np.maximum.reduce(mag, axis=0), np.inf)
-        if whole:
-            self.r_ref, self.m, self.ref_norm = r, m, np.sqrt(2.0 * data)
+        self.m[cols] = np.where(np.logical_and.reduce(kept, axis=0),
+                                np.maximum.reduce(mag, axis=0), np.inf)
+        self.ref_norm[cols] = np.sqrt(2.0 * data[cols])
+        if redo is None:
+            self.r_ref = r  # shared, not copied: the kernel never writes r
         else:
-            self.r_ref[:, redo], self.m[redo] = r_sub, m
-            self.ref_norm[redo] = np.sqrt(2.0 * data[redo])
+            self.r_ref[:, cols] = r_sub
         return a
 
     def _grow(self, atoms: np.ndarray) -> None:
@@ -453,10 +449,7 @@ def _descend(d: np.ndarray, projector, a: np.ndarray, cfg: SolverConfig,
             threshold, cap_at = lam * mu, np.minimum.reduce(begin) + cfg.max_iters
         k += 1
         if shrink:
-            g = d.T @ r
-            g *= mu
-            g += a
-            a_new = prox_l1(g, threshold)
+            a_new = prox_l1(_gradient_step(d, r, mu, a), threshold)
         else:
             a_new = screen.step(a, r, data)
         r, data, f_new = _evaluate(d, projector, a_new, synth, lam if shrink else None)

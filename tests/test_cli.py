@@ -1,11 +1,15 @@
+import os
 import runpy
+import subprocess
 import sys
 import wave
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlcs.cli
 from nlcs.cli import RunConfig, _build_parser, main
 from nlcs.dictlearn import load_dictionary
 from nlcs.linops import dct_dictionary
@@ -326,13 +330,16 @@ class TestErrors:
     (["declip", "VOICE", "-K", "0"], "sparsity must be in [1, 512], got 0"),
     (["dequant", "VOICE", "--bits", "0"], "bits must be in [1, 16], got 0"),
     (["declip", "VOICE", "--frame", "0"], "frame_len must be positive"),
+    (["declip", "VOICE", "--theta", "0.2", "--iters", "5", "--out", "NO_DIR_WAV"],
+     "[Errno 2] No such file or directory: 'NO_DIR_WAV'"),
 ], ids=["epsilon-inf", "epsilon-zero", "lambda-nan", "lambda-negative", "seed-negative",
         "not-a-wav", "wav-cut-mid-sample", "wav-cut-mid-frame", "overlap-1.5", "k-zero",
-        "bits-zero", "frame-zero"])
+        "bits-zero", "frame-zero", "out-dir-missing"])
 def test_bad_invocation_is_one_error_line(voice_wav, tmp_path, capsys, args, shown):
     not_wav = tmp_path / "notawav.wav"
     not_wav.write_text("hello")
-    names = {"VOICE": voice_wav, "NOT_WAV": str(not_wav)}
+    names = {"VOICE": voice_wav, "NOT_WAV": str(not_wav),
+             "NO_DIR_WAV": str(tmp_path / "missing" / "x.wav")}
     stereo = tmp_path / "stereo.wav"
     with wave.open(str(stereo), "wb") as fh:
         fh.setnchannels(2)
@@ -344,12 +351,25 @@ def test_bad_invocation_is_one_error_line(voice_wav, tmp_path, capsys, args, sho
         names[name] = str(tmp_path / f"{name.lower()}.wav")
         with open(names[name], "wb") as fh:
             fh.write(stereo.read_bytes()[:-cut])
-    rc = main([names.get(a, a) for a in args] + ["--out", str(tmp_path / "o.out")])
+    argv = [names.get(a, a) for a in args]
+    rc = main(argv if "--out" in argv else argv + ["--out", str(tmp_path / "o.out")])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
-    for name in ("NOT_WAV", "CUT_SAMPLE", "CUT_FRAME"):
+    for name in ("NOT_WAV", "CUT_SAMPLE", "CUT_FRAME", "NO_DIR_WAV"):
         shown = shown.replace(name, names[name])
     assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(shown)
+
+
+def test_unwritable_output_wav_is_one_line_from_the_interpreter(voice_wav, tmp_path):
+    # a failed wave.open(path) once left a writer whose __del__ printed a
+    # traceback at garbage collection, where capsys does not look
+    out = tmp_path / "missing" / "x.wav"
+    env = {**os.environ, "PYTHONPATH": str(Path(nlcs.cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "nlcs", "declip", voice_wav, "--theta", "0.2",
+                           "--iters", "5", "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [f"error: [Errno 2] No such file or directory: '{out}'"]
 
 
 @pytest.mark.parametrize("args, shown", [

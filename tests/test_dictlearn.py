@@ -369,15 +369,15 @@ class TestLearn:
             dict_update(d0, np.ones((12, 3)), batch, cfg)
 
     def test_coding_half_steps_are_sparse_code_fixed_calls(self, monkeypatch):
-        # the caller's step serves the first half step only: a run with it
-        # takes one norm of the dictionary fewer than one without
+        # each coding half step is one sparse_code_fixed call with the
+        # config's step: when None, the coder takes 1 / ||D||^2 of the
+        # dictionary it codes on, one norm of D per outer iteration
         rng = np.random.default_rng(25)
         train, _, _ = _training_set(rng, m=48, t=10)
         d0 = dct_dictionary(8, 48)
-        cfg = DictLearnConfig(SolverConfig(L0(2), max_iters=5), outer_iters=3,
-                              inner_dict_iters=2)
-        runs = {}
         for step in (None, 0.5):
+            cfg = DictLearnConfig(SolverConfig(L0(2), step=step, max_iters=5), outer_iters=3,
+                                  inner_dict_iters=2)
             steps, norms = [], []
             code, norm = nlcs.dictlearn.sparse_code_fixed, nlcs.solvers.spectral_norm
 
@@ -388,10 +388,10 @@ class TestLearn:
             monkeypatch.setattr(nlcs.dictlearn, "sparse_code_fixed", recording_code)
             monkeypatch.setattr(nlcs.solvers, "spectral_norm",
                                 lambda x: norms.append(x.shape) or norm(x))
-            runs[step] = learn(train, d0, cfg, step=step)
+            learn(train, d0, cfg)
             monkeypatch.undo()
-            assert steps == [step, None, None]
-            assert norms.count(d0.shape) == (3 if step is None else 2)
+            assert steps == [step] * 3
+            assert norms.count(d0.shape) == (3 if step is None else 0)
         assert not hasattr(nlcs.dictlearn, "_descend")
 
     def test_initial_dictionary_validated(self):

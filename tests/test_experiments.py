@@ -469,8 +469,9 @@ class TestFrameBlocks:
         assert peak < 5.25 * 2**20  # 4.73 MiB measured
 
     def test_learning_takes_one_norm_per_outer_iteration(self, short_signal, monkeypatch):
-        # the classical start's 1/||D||^2 also serves learn's first coding
-        # step: outer_iters norms of the dictionary in all, and the same D
+        # the classical start and each coding half step resolve 1/||D||^2 of
+        # the dictionary they code on: outer_iters + 1 norms of D's shape in
+        # all, and the same D and codes as learn from the classical start
         obs, _ = measure_audio(short_signal[:4000], self.FS, Clip(0.3, -0.3))
         batch, d0 = frame_batch(obs, self.FS), dct_dictionary(256, 512)
         params = SolveParams(k=32, outer_iters=3, inner_iters=5)
@@ -479,16 +480,44 @@ class TestFrameBlocks:
         monkeypatch.setattr(nlcs.solvers, "spectral_norm",
                             lambda a: shapes.append(a.shape) or norm(a))
         d, codes, _ = learn_dictionary(d0, batch, params)
-        assert shapes.count((256, 512)) == params.outer_iters
+        assert shapes.count((256, 512)) == params.outer_iters + 1
         dl = DictLearnConfig(SolverConfig(L0(params.k), max_iters=params.inner_iters),
                              outer_iters=params.outer_iters,
                              inner_dict_iters=params.inner_iters)
-        shapes.clear()
         d_ref, codes_ref, _ = learn(batch, d0, dl, init_codes=_classical_init(d0, batch, 32))
-        assert shapes.count((256, 512)) == params.outer_iters + 1  # learn resolves its own
         assert_bitwise_equal(d, d_ref)
         assert_bitwise_equal(codes, codes_ref)
 
+    def test_the_learner_is_released_before_the_next_method(self, short_signal, monkeypatch):
+        # the learner's batch, dictionary, codes and estimate are dead
+        # before the baseline's first block solve starts
+        learn_dict = nlcs.experiments.learn_dictionary
+        solve, estimate = nlcs.experiments._solve, nlcs.experiments._estimate
+        refs, alive = [], []
+
+        def watched_learn(d, batch, params):
+            out = learn_dict(d, batch, params)
+            refs.extend(weakref.ref(x) for x in (batch, *out[:2]))
+            return out
+
+        def watched_estimate(d, codes, batch):
+            z = estimate(d, codes, batch)
+            refs.append(weakref.ref(z))
+            return z
+
+        def watched_solve(*args, **kwargs):
+            alive.append([r() is not None for r in refs])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(nlcs.experiments, "learn_dictionary", watched_learn)
+        monkeypatch.setattr(nlcs.experiments, "_estimate", watched_estimate)
+        monkeypatch.setattr(nlcs.experiments, "_solve", watched_solve)
+        params = SolveParams(iters=10, k=32, outer_iters=2, inner_iters=5)
+        (learned, baseline) = run_audio("declip", short_signal, self.FS, params,
+                                        ["iht", "baseline"], level=0.3, learn_dict=True)
+        assert (learned.method, baseline.method) == ("iht+learn", "baseline")
+        assert alive and len(alive[0]) == 4  # batch, D, codes and estimate of the learner
+        assert not any(any(a) for a in alive)
 
 @pytest.mark.slow
 def test_dequant_learning_improves_on_stiff_signal(tmp_path):

@@ -312,8 +312,9 @@ class TestProxL0TopKSupport:
         m, t = v2.shape
         screen = _TopKScreen(np.eye(m), k, 1.0, np.zeros((m, t)))
         screen.rows = np.array(support).reshape(k, t)
-        screen._gradient = lambda a, r: v2.copy()
-        codes = screen._select(np.zeros((m, t)), np.zeros((m, t)), np.zeros(t))
+        with pytest.MonkeyPatch.context() as mp:  # the step's gradient is v, as given
+            mp.setattr(nlcs.solvers, "_gradient_step", lambda x, r, mu, a: v2.copy())
+            codes = screen._select(np.zeros((m, t)), np.zeros((m, t)), np.zeros(t))
         return codes.reshape(v.shape), screen.rows.reshape(np.shape(support))
 
     def check(self, v, k, rng):

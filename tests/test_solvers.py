@@ -37,6 +37,7 @@ from nlcs.solvers import (
     _auto_lam0,
     _descend,
     _resolve_step,
+    _strict_top_k,
     _synth_used,
     consistency_level,
     objective,
@@ -758,9 +759,12 @@ class TestTopKSynthesis:
                              HomotopyConfig(SolverConfig(L1(1e-2), max_iters=40)))
 
 
-def _every_column_moved(self, g, rows):
-    """The screen's candidate test off: a full step selects every column."""
-    return np.arange(g.shape[1])
+def _every_column_moved(g, rows, floor=None):
+    """The full step's candidate test off (it is the call without a floor):
+    a full step selects every column, while the certificate keeps its test."""
+    if floor is not None:
+        return _strict_top_k(g, rows, floor)
+    return np.zeros(g.shape[1], bool)
 
 
 class _CountingProjector:
@@ -802,7 +806,7 @@ class TestWarmTopKSupport:
                        lambda v, k: selected.append(v.shape[1]) or full(v, k))
             got = _descend(d, _CountingProjector(projector, widths), a0.copy(), cfg, mu, stop)
         with monkeypatch.context() as mp:
-            mp.setattr(nlcs.solvers._TopKScreen, "_moved", _every_column_moved)
+            mp.setattr(nlcs.solvers, "_strict_top_k", _every_column_moved)
             want = _descend(d, projector, a0.copy(), cfg, mu, stop)
         for g, w in zip(got, want):  # codes, totals, stopped flags, data terms
             assert_bitwise_equal(g, w)
@@ -834,12 +838,98 @@ class TestWarmTopKSupport:
                               outer_iters=4, inner_dict_iters=5)
         d0 = dct_dictionary(32, 128)
         got = learn(train, d0, cfg)
-        monkeypatch.setattr(nlcs.solvers._TopKScreen, "_moved", _every_column_moved)
+        monkeypatch.setattr(nlcs.solvers, "_strict_top_k", _every_column_moved)
         want = learn(train, d0, cfg)
         for g, w in zip(got[:2], want[:2]):
             assert_bitwise_equal(g, w)
         assert got[2].after_coding == want[2].after_coding
         assert got[2].after_dict == want[2].after_dict
+
+
+def _strict_top_k_by_sort(g, rows, floor):
+    """The definition: column t passes when rows[:, t] is the unique set of
+    its k largest |g| (no NaN, and the k-th largest beats the next) and that
+    k-th largest beats floor[t]."""
+    k, verdict = rows.shape[0], []
+    for t in range(g.shape[1]):
+        mag = np.abs(g[:, t])
+        order = np.argsort(-mag, kind="stable")
+        unique = not np.isnan(mag).any() and (k == mag.size or mag[order[k - 1]] > mag[order[k]])
+        verdict.append(unique and set(order[:k]) == set(rows[:, t])
+                       and bool(mag[order[k - 1]] > floor[t]))
+    return np.array(verdict)
+
+
+class TestStrictTopK:
+    """The one support test of the top-K step, on rows in g's own coordinates,
+    against its definition by sorting."""
+
+    @staticmethod
+    def _gradients(rng, m, t):
+        """Integer values (exact ties) with NaN, +-0.0 and +-inf mixed in."""
+        g = rng.integers(-4, 5, size=(m, t)).astype(float)
+        specials = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf])
+        odd = rng.random((m, t)) < 0.15
+        g[odd] = rng.choice(specials, size=np.count_nonzero(odd))
+        g[:, 0] = -0.0
+        g[:, 1] = rng.standard_normal(m)  # no ties
+        return g
+
+    @staticmethod
+    def _supports(rng, g, k):
+        """k distinct rows per column: the top k of a stable sort, a random set,
+        and the stable top k with one row swapped for a row outside."""
+        m, t = g.shape
+        top = np.argsort(-np.abs(g), axis=0, kind="stable")
+        swapped = top[:k].copy()
+        if k < m:
+            swapped[-1] = top[k]
+        random = np.array([rng.choice(m, size=k, replace=False) for _ in range(t)]).T
+        return top[:k], random, swapped
+
+    def test_matches_the_sort_definition_in_full_coordinates(self):
+        rng = np.random.default_rng(70)
+        verdicts = []
+        for m in (1, 5, 12):
+            g = self._gradients(rng, m, 40)
+            for k in range(1, m + 1):
+                top = self._supports(rng, g, k)[0]
+                assert _strict_top_k(g, top)[1]  # the column without ties
+                for rows in self._supports(rng, g, k):
+                    floor = rng.choice([-np.inf, 0.0, 2.0, np.nan], size=g.shape[1])
+                    with np.errstate(invalid="ignore"):
+                        got = _strict_top_k(g, rows, floor)
+                        unfloored = _strict_top_k(g, rows)
+                    assert np.array_equal(got, _strict_top_k_by_sort(g, rows, floor))
+                    assert np.array_equal(unfloored,
+                                          _strict_top_k_by_sort(g, rows, np.full(40, -np.inf)))
+                    verdicts.append(unfloored)
+        assert 0.1 < np.concatenate(verdicts).mean() < 0.9  # both verdicts are exercised
+
+    def test_matches_the_sort_definition_on_rows_mapped_into_u(self, monkeypatch):
+        # the certificate's verdict with a bound that never binds: S in atom
+        # numbers, mapped by the screen into g on U, the atoms any code holds
+        rng = np.random.default_rng(71)
+        m_atoms, t, verdicts = 64, 40, []
+        for size in (3, 9, 31):
+            used = np.sort(rng.permutation(m_atoms)[:size])
+            a = np.zeros((m_atoms, t))
+            a[used] = 1.0
+            screen = nlcs.solvers._TopKScreen(np.eye(m_atoms), 1, 1.0, a)
+            assert np.array_equal(screen.used, used) and not screen.dense
+            g = self._gradients(rng, size, t)  # g on U, row i for atom used[i]
+            monkeypatch.setattr(nlcs.solvers, "_gradient_step", lambda x, r, mu, a: g.copy())
+            r = np.zeros((m_atoms, t))
+            for k in range(1, size + 1):
+                for rows_u in self._supports(rng, g, k):
+                    screen.rows, screen.r_ref = used[rows_u], r  # S in atom numbers
+                    screen.m, screen.ref_norm = np.full(t, -np.inf), np.zeros(t)
+                    with np.errstate(invalid="ignore"):
+                        held = screen._certify(a, r, np.zeros(t))[0]
+                    assert np.array_equal(held, _strict_top_k_by_sort(g, rows_u,
+                                                                      np.full(t, -np.inf)))
+                    verdicts.append(held)
+        assert 0.1 < np.concatenate(verdicts).mean() < 0.9
 
 
 def _certify_none(self, a, r, data):
