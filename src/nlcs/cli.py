@@ -14,6 +14,8 @@ goes to stderr; stdout is reserved for CSV when --stdout is set.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence
@@ -213,7 +215,9 @@ def _solve_params(cfg: RunConfig) -> SolveParams:
                        outer_iters=cfg.iters, inner_iters=cfg.inner_iters)
 
 
-_LEVEL_FLAGS = {"clip": ("theta", 0.2), "quant": ("bits", 3)}  # kind -> (flag, default)
+# distortion kind -> (its level setting, the audio commands' default, synth's default sweep)
+_LEVEL_FLAGS = {"clip": ("theta", 0.2, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)),
+                "quant": ("bits", 3, (2, 3, 4, 5, 6, 7, 8))}
 
 
 def _level(cfg: RunConfig, kind: str):
@@ -221,10 +225,8 @@ def _level(cfg: RunConfig, kind: str):
     and None for a kind that takes no level."""
     if kind not in _LEVEL_FLAGS:
         return None
-    name, default = _LEVEL_FLAGS[kind]
-    values = getattr(cfg, name)
-    if not values:
-        return default
+    name, default, _ = _LEVEL_FLAGS[kind]
+    values = getattr(cfg, name) or [default]
     if len(values) > 1:
         raise ValueError(f"--{name} takes one value for {cfg.command}, got "
                          f"{','.join(map(str, values))}")
@@ -256,8 +258,9 @@ def _emit_csv(cfg: RunConfig, rows, path) -> None:
 
 def cmd_synth(cfg: RunConfig) -> int:
     spec = SyntheticSpec(seed=cfg.seed, count=cfg.count)
-    levels = ((cfg.theta or list(spec.clip_levels)) if cfg.distortion == "clip"
-              else (cfg.bits or list(spec.quant_bits)))
+    # run_synth rejects a kind without levels
+    name, _, sweep = _LEVEL_FLAGS.get(cfg.distortion, ("theta", None, ()))
+    levels = getattr(cfg, name) or list(sweep)
     methods = [m.strip() for m in cfg.method.split(",") if m.strip()]
     params = _solve_params(cfg)
     rows, _ = run_synth(spec, cfg.distortion, levels, methods, params, cfg.seed)
@@ -342,6 +345,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
+        # fail before any work, as opening it would (a default output lies in the working
+        # directory or beside the input, an audio CSV in --out's directory or above it)
+        for path in (cfg.out, cfg.text):
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         if cfg.command in AUDIO_TASKS:
             return cmd_audio(cfg, cfg.command)
         return {"synth": cmd_synth, "baseline": cmd_baseline,

@@ -114,36 +114,30 @@ def distortion(kind: str, level=None) -> tuple[Optional[MeasurementModel], str]:
     return (OneBit(), "onebit") if kind == "onebit" else (Identity(), "none")
 
 
-def _quant_delta(model) -> float:
-    if isinstance(model, UniformQuantizer):
-        return model.delta
-    if isinstance(model, GeneralQuantizer):
-        deltas = np.diff(model.codewords)
-        return float(deltas[0])
-    raise TypeError(f"not a quantizer model: {model!r}")
-
-
-def _baseline_observations(observations: Sequence[Observation], task: str,
-                           n: Optional[int] = None
+def _baseline_observations(observations: Sequence[Observation], n: Optional[int] = None
                            ) -> tuple[List[Observation], Optional[np.ndarray]]:
-    """Classical linear treatment of a batch of nonlinear observations.
+    """The classical linear substitutes of a batch of observations, chosen
+    by their model, and the data term levels at which their solve stops.
 
-    Returns the substituted observations and, for dequantization, one data
-    term level 0.5 * n * delta_t^2 / 12 per observation at which the solver
-    should stop (quantization error treated as noise of variance
-    delta_t^2 / 12, over the n samples of a coded signal: by default an
-    observation's own); a batch may mix quantizers of different steps.
+    Clipped samples are dropped (inpainting: a Mask of the reliable ones);
+    quantized and 1-bit values are taken as noisy values (Identity).  A
+    quantized observation of step delta_t stops at 0.5 * n * delta_t^2 / 12
+    (its error taken as noise of variance delta_t^2 / 12, over the n samples
+    of a coded signal: by default an observation's own); a batch may mix
+    quantizer steps.  The others have no stop (None).
     """
-    if task == "declip":
+    model = observations[0].model
+    if isinstance(model, Clip):
         return [Observation(o.values, Mask(o.reliable)) for o in observations], None
-    if task == "dequant":
-        delta = np.array([_quant_delta(o.model) for o in observations])
+    if isinstance(model, (UniformQuantizer, GeneralQuantizer)):
+        delta = np.array([o.model.delta if isinstance(o.model, UniformQuantizer)
+                          else o.model.codewords[1] - o.model.codewords[0] for o in observations])
         n = observations[0].values.shape[0] if n is None else n
         stop = 0.5 * n * delta * delta / 12.0
-    elif task == "onebit":
+    elif isinstance(model, OneBit):
         stop = None
     else:
-        raise ValueError(f"unknown task {task!r}")
+        raise ValueError(f"no classical baseline for {type(model).__name__} observations")
     return [Observation(o.values, Identity()) for o in observations], stop
 
 
@@ -181,7 +175,7 @@ def _estimate(d, codes, batch: Batch) -> np.ndarray:
     return batch.projector.project(z)
 
 
-def _synth_estimates(d, observations, methods, task, params: SolveParams) -> List[np.ndarray]:
+def _synth_estimates(d, observations, methods, params: SolveParams) -> List[np.ndarray]:
     """(N, T) final estimates of a batch, one per method: fixed or iht alone, or adaptive
     and baseline in one homotopy call, their observations in the order of methods."""
     if methods[0] in ("fixed", "iht"):
@@ -189,7 +183,7 @@ def _synth_estimates(d, observations, methods, task, params: SolveParams) -> Lis
         codes = _solve(d, batch, methods[0], params, classical_start=methods[0] == "iht")
         return [_estimate(d, codes, batch)]
     t, eps = len(observations), np.full(len(observations), params.epsilon)
-    sets = [(observations, eps) if m == "adaptive" else _baseline_observations(observations, task)
+    sets = [(observations, eps) if m == "adaptive" else _baseline_observations(observations)
             for m in methods]
     codes = _solve(d, Batch.of([o for obs, _ in sets for o in obs]), "adaptive", params,
                    stop=np.concatenate([eps if stop is None else stop for _, stop in sets]))
@@ -233,13 +227,12 @@ def run_synth(spec: SyntheticSpec, kind: str, levels: Sequence,
         return [], {}
     models, tags = zip(*(distortion(kind, level) for level in levels))
     observations = [apply_measurement(model, x) for model in models for x in signals.T]
-    task = "declip" if kind == "clip" else "dequant"
     truth = np.tile(signals, len(levels))
     snrs, runtimes = {}, {}
     joint = [m for m in methods if m in ("adaptive", "baseline")]
     for group in [[m] for m in methods if m not in joint] + ([joint] if joint else []):
         t0 = time.perf_counter()
-        for method, est in zip(group, _synth_estimates(d, observations, group, task, params)):
+        for method, est in zip(group, _synth_estimates(d, observations, group, params)):
             snrs[method] = np.array([snr_db(xhat, x) for xhat, x in zip(est.T, truth.T)])
         runtimes.update(dict.fromkeys(group, time.perf_counter() - t0))
     rows: List[EvalRow] = []
@@ -311,14 +304,15 @@ def learn_dictionary(d, batch: Batch, params: SolveParams):
     return learn(batch, d, dl, init_codes=_classical_init(d, batch, params.k))
 
 
-def _estimates(d, obs: Observation, spec: FrameSpec, method: str, task: str,
-               params: SolveParams, step: float) -> Iterator[np.ndarray]:
+def _estimates(d, obs: Observation, spec: FrameSpec, method: str,
+               params: SolveParams) -> Iterator[np.ndarray]:
     """A method's (N, b) estimates of the frames of obs in blocks of
-    BLOCK_FRAMES, in frame order; a block's batch and codes are dropped
-    once its estimate has been consumed, so one block is alive at a time."""
-    stop = None
+    BLOCK_FRAMES, in frame order, every block with one step 1 / ||D||_2^2;
+    a block's batch and codes are dropped once its estimate has been
+    consumed, so one block is alive at a time."""
+    step, stop = _resolve_step(d), None
     if method == "baseline":  # IHT from zero on the classical substitutes
-        [obs], stop = _baseline_observations([obs], task, spec.frame_len)
+        [obs], stop = _baseline_observations([obs], spec.frame_len)
     count = (obs.values.shape[0] - spec.frame_len) // spec.hop + 1  # obs ends on the frame grid
     for start in range(0, count, BLOCK_FRAMES):
         batch = frame_batch(obs, spec, slice(start, start + BLOCK_FRAMES))
@@ -354,15 +348,15 @@ def run_audio(task: str, samples: np.ndarray, frame_spec: FrameSpec,
 
     ``samples`` is normalized to unit peak and distorted at ``level`` (see
     distortion(); for declip, None takes the input as already clipped)
-    once for every method, with one step 1 / ||D||_2^2.  A method codes the
-    frames in blocks of BLOCK_FRAMES, each framed from the per-sample
-    bounds and overlap-added into the result before the next, so memory
-    follows the block, not the input; dictionary learning codes every
-    frame as one block, since D couples them.  A result's runtime covers
-    this shared set-up plus its own method's recovery, and its estimate
-    lives in the input's unit-peak domain.  When a reference is given, the
-    summary SNR is computed against the reference rescaled by the input's
-    peak (angular SNR for 1-bit data).
+    once for every method.  A method codes the frames in blocks of
+    BLOCK_FRAMES, each framed from the per-sample bounds and overlap-added
+    into the result before the next, so memory follows the block, not the
+    input; dictionary learning codes every frame as one block, since D
+    couples them.  A result's runtime covers this shared set-up plus its
+    own method's recovery, and its estimate lives in the input's unit-peak
+    domain.  When a reference is given, the summary SNR is computed against
+    the reference rescaled by the input's peak (angular SNR for a OneBit
+    model).
     """
     if task not in AUDIO_TASKS:
         raise ValueError(f"unknown task {task!r}")
@@ -372,7 +366,6 @@ def run_audio(task: str, samples: np.ndarray, frame_spec: FrameSpec,
     obs, peak = measure_audio(samples, frame_spec, model)
     if dictionary is None:
         dictionary = dct_dictionary(frame_spec.frame_len, 2 * frame_spec.frame_len)
-    step = _resolve_step(dictionary)
     if reference is not None:
         if np.shape(reference)[0] != len(samples):
             raise ValueError("reference length does not match the input")
@@ -388,11 +381,11 @@ def run_audio(task: str, samples: np.ndarray, frame_spec: FrameSpec,
         # no local keeps the estimates: they die before the next method runs
         estimate = overlap_add(
             _learned_estimates(dictionary, obs, frame_spec, params) if learned
-            else _estimates(dictionary, obs, frame_spec, method, task, params, step),
+            else _estimates(dictionary, obs, frame_spec, method, params),
             frame_spec, len(samples))
         runtime = setup + time.perf_counter() - t0
         snr = None if reference is None else (
-            angular_snr_db if task == "onebit" else snr_db)(estimate, reference)
+            angular_snr_db if isinstance(obs.model, OneBit) else snr_db)(estimate, reference)
         label = method + ("+learn" if learned else "")
         results.append(AudioResult(estimate, tag, label, runtime, snr))
     return results

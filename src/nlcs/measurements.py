@@ -47,8 +47,9 @@ __all__ = [
     "DegenerateObservationError",
 ]
 
-# relative tolerance used to match observed values against clip thresholds
-# and quantizer codewords; wide enough to survive 16-bit PCM round trips
+# relative tolerance of a legal value (_at) against a clip threshold or a quantizer codeword:
+# a codeword computed two ways, delta * (q + 1/2) and delta * floor(x / delta) + delta / 2,
+# can differ by an ulp
 VALUE_MATCH_RTOL = 1e-9
 
 # condition-number ceiling above which a general linear model is rejected
@@ -281,8 +282,7 @@ class Observation:
             raise ValueError("1-bit observations must take values in {-1, +1}")
         if isinstance(m, UniformQuantizer):
             # legal codewords sit at (q + 1/2) * delta for integer q
-            q = y / m.delta - 0.5
-            if not np.allclose(q, np.round(q), atol=1e-6):
+            if not np.all(_at(y, m.delta * (np.round(y / m.delta - 0.5) + 0.5))):
                 raise ValueError("observation values are not quantizer codewords")
         if isinstance(m, GeneralLinear) and y.shape[0] != m.matrix.shape[0]:
             raise ValueError("observation length must match the sensing matrix rows")
@@ -316,9 +316,10 @@ class Observation:
         return self._intervals
 
 
-def _at(y, theta: float) -> np.ndarray:
-    """Which samples of y sit at theta, to VALUE_MATCH_RTOL * max(1, |theta|)."""
-    return np.abs(y - theta) <= VALUE_MATCH_RTOL * max(1.0, abs(theta))
+def _at(y, theta) -> np.ndarray:
+    """Which samples of y sit at theta (one value, or one per sample), to
+    VALUE_MATCH_RTOL * max(1, |theta|): the one rule for a legal value."""
+    return np.abs(y - theta) <= VALUE_MATCH_RTOL * np.maximum(1.0, np.abs(theta))
 
 
 def apply_measurement(model: MeasurementModel, x) -> Observation:
@@ -374,9 +375,7 @@ def _quantizer_bin_index(model: GeneralQuantizer, values) -> np.ndarray:
     d_above = np.abs(values - c[above])
     take_above = (d_above < d_below) | ((d_above == d_below) & (above < below))
     idx = np.where(take_above, above, below)
-    best = c[idx]
-    tol = VALUE_MATCH_RTOL * np.maximum(1.0, np.abs(best))
-    if np.any(np.abs(values - best) > tol):
+    if not np.all(_at(values, c[idx])):
         raise ValueError("observation values are not legal quantizer codewords")
     return idx
 
@@ -511,8 +510,8 @@ def estimate_clip_model(y) -> Observation:
     """Detect clipping thresholds and masks from an observed signal.
 
     theta_pos = max(y) and theta_neg = min(y); a sample is flagged clipped
-    when it matches a threshold within a relative tolerance of 1e-9, which
-    survives 16-bit PCM round trips where exact float equality would not.
+    when it sits at a threshold by _at, the one rule for legal values; on
+    16-bit PCM input that flags the same samples as exact equality.
     """
     y = _as_float_vector(y, "y")
     theta_pos = float(np.max(y))

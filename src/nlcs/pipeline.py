@@ -7,7 +7,7 @@ import logging
 import wave
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -45,8 +45,6 @@ class SyntheticSpec:
     atom_count: int = 64
     sparsity: int = 4
     count: int = 2000
-    clip_levels: Tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-    quant_bits: Tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8)
 
     def __post_init__(self):
         if self.seed < 0:

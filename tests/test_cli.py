@@ -74,6 +74,19 @@ class TestSynth:
         second = out.read_text()
         assert first != "" and _strip_runtime(first) == _strip_runtime(second)
 
+    @pytest.mark.parametrize("distortion, tags", [
+        ("clip", "clip:0.1 clip:0.2 clip:0.3 clip:0.4 clip:0.5 clip:0.6 clip:0.7 clip:0.8 "
+                 "clip:0.9 clip:1"),
+        ("quant", "quant:2 quant:3 quant:4 quant:5 quant:6 quant:7 quant:8")])
+    def test_default_sweep(self, tmp_path, distortion, tags):
+        # without --theta or --bits, synth sweeps the CLI's default levels in order
+        out = tmp_path / "rows.csv"
+        assert main(["synth", "--distortion", distortion, "--count", "1", "--method", "fixed",
+                     "--iters", "1", "--out", str(out)]) == 0
+        rows = [line.split(",")[:2] for line in out.read_text().splitlines()
+                if not line.startswith(("#", "distortion,"))]
+        assert rows == [[tag, "fixed"] for tag in tags.split()]
+
     def test_rerun_from_embedded_config(self, tmp_path):
         first = tmp_path / "first.csv"
         assert main(["synth", "--distortion", "clip", "--theta", "0.3",
@@ -332,14 +345,36 @@ class TestErrors:
     (["declip", "VOICE", "--frame", "0"], "frame_len must be positive"),
     (["declip", "VOICE", "--theta", "0.2", "--iters", "5", "--out", "NO_DIR_WAV"],
      "[Errno 2] No such file or directory: 'NO_DIR_WAV'"),
+    (["dequant", "VOICE", "--reference", "VOICE", "--out", "NO_DIR_WAV"],
+     "[Errno 2] No such file or directory: 'NO_DIR_WAV'"),
+    (["onebit", "VOICE", "--out", "NO_DIR_WAV"],
+     "[Errno 2] No such file or directory: 'NO_DIR_WAV'"),
+    (["synth", "--count", "2", "--out", "NO_DIR_OUT"],
+     "[Errno 2] No such file or directory: 'NO_DIR_OUT'"),
+    (["baseline", "VOICE", "--reference", "VOICE", "--out", "NO_DIR_OUT"],
+     "[Errno 2] No such file or directory: 'NO_DIR_OUT'"),
+    (["learn-dict", "VOICE", "--out", "NO_DIR_OUT"],
+     "[Errno 2] No such file or directory: 'NO_DIR_OUT'"),
+    (["learn-dict", "VOICE", "--text", "NO_DIR_OUT"],
+     "[Errno 2] No such file or directory: 'NO_DIR_OUT'"),
 ], ids=["epsilon-inf", "epsilon-zero", "lambda-nan", "lambda-negative", "seed-negative",
         "not-a-wav", "wav-cut-mid-sample", "wav-cut-mid-frame", "overlap-1.5", "k-zero",
-        "bits-zero", "frame-zero", "out-dir-missing"])
-def test_bad_invocation_is_one_error_line(voice_wav, tmp_path, capsys, args, shown):
+        "bits-zero", "frame-zero", "out-dir-missing", "dequant-out-dir-missing",
+        "onebit-out-dir-missing", "synth-out-dir-missing", "baseline-out-dir-missing",
+        "learn-dict-out-dir-missing", "learn-dict-text-dir-missing"])
+def test_bad_invocation_is_one_error_line(voice_wav, tmp_path, capsys, monkeypatch, args, shown):
+    if any(a.startswith("NO_DIR") for a in args):  # refused before the input is read or solved
+
+        def refuse(*called, **kwargs):
+            raise AssertionError("worked before the output directory was checked")
+
+        for name in ("run_audio", "run_synth", "learn_dictionary", "wav_read"):
+            monkeypatch.setattr(nlcs.cli, name, refuse)
     not_wav = tmp_path / "notawav.wav"
     not_wav.write_text("hello")
     names = {"VOICE": voice_wav, "NOT_WAV": str(not_wav),
-             "NO_DIR_WAV": str(tmp_path / "missing" / "x.wav")}
+             "NO_DIR_WAV": str(tmp_path / "missing" / "x.wav"),
+             "NO_DIR_OUT": str(tmp_path / "missing" / "x.out")}
     stereo = tmp_path / "stereo.wav"
     with wave.open(str(stereo), "wb") as fh:
         fh.setnchannels(2)
@@ -355,7 +390,7 @@ def test_bad_invocation_is_one_error_line(voice_wav, tmp_path, capsys, args, sho
     rc = main(argv if "--out" in argv else argv + ["--out", str(tmp_path / "o.out")])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
-    for name in ("NOT_WAV", "CUT_SAMPLE", "CUT_FRAME", "NO_DIR_WAV"):
+    for name in ("NOT_WAV", "CUT_SAMPLE", "CUT_FRAME", "NO_DIR_WAV", "NO_DIR_OUT"):
         shown = shown.replace(name, names[name])
     assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(shown)
 

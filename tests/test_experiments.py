@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assert_bitwise_equal
+from conftest import assert_bitwise_equal, random_observation
 
 import nlcs.experiments
 import nlcs.measurements
@@ -35,6 +35,7 @@ from nlcs.measurements import (
     Mask,
     Observation,
     OneBit,
+    UniformQuantizer,
     apply_measurement,
     estimate_clip_model,
 )
@@ -64,7 +65,7 @@ class TestBaselineObservations:
         from nlcs.measurements import Clip
 
         obs = apply_measurement(Clip(0.3, -0.3), rng.standard_normal(32))
-        [base], stop = _baseline_observations([obs], "declip")
+        [base], stop = _baseline_observations([obs])
         assert isinstance(base.model, Mask)
         assert np.array_equal(base.model.reliable, obs.reliable)
         assert stop is None
@@ -74,7 +75,7 @@ class TestBaselineObservations:
         rng = np.random.default_rng(1)
         model = uniform_quantizer_for_bits(3)
         obs = apply_measurement(model, np.tanh(rng.standard_normal(256)))
-        [base], stop = _baseline_observations([obs], "dequant")
+        [base], stop = _baseline_observations([obs])
         assert isinstance(base.model, Identity)
         per_sample = 0.25 ** 2 / 12.0
         assert per_sample == pytest.approx(5.208e-3, rel=1e-3)
@@ -85,7 +86,7 @@ class TestBaselineObservations:
         rng = np.random.default_rng(3)
         x = np.tanh(rng.standard_normal(64))
         batch = [apply_measurement(uniform_quantizer_for_bits(b), x) for b in (2, 3, 3)]
-        _, stop = _baseline_observations(batch, "dequant")
+        _, stop = _baseline_observations(batch)
         deltas = np.array([0.5, 0.25, 0.25])
         assert stop.shape == (3,)
         assert np.array_equal(stop, 0.5 * 64 * deltas * deltas / 12.0)
@@ -93,10 +94,41 @@ class TestBaselineObservations:
     def test_onebit_uses_signs_directly(self):
         rng = np.random.default_rng(2)
         obs = apply_measurement(OneBit(), rng.standard_normal(64))
-        [base], stop = _baseline_observations([obs], "onebit")
+        [base], stop = _baseline_observations([obs])
         assert isinstance(base.model, Identity)
         assert set(np.unique(base.values)) <= {-1.0, 1.0}
         assert stop is None
+
+    @pytest.mark.parametrize("models, substitute, deltas", [
+        ([Clip(0.5, -0.5), Clip(0.3, -0.2)], Mask, None),
+        ([UniformQuantizer(0.5), uniform_quantizer_for_bits(3), UniformQuantizer(1e-5)],
+         Identity, [0.5, 0.25, 1e-5]),
+        ([OneBit(), OneBit()], Identity, None),
+    ], ids=["clip", "quantizers-of-three-steps", "onebit"])
+    def test_substitute_and_stop_follow_the_model(self, models, substitute, deltas):
+        # inpainting for clipped data, noisy values for quantized and 1-bit
+        # data, and a noise floor from each quantized observation's own step
+        rng = np.random.default_rng(4)
+        obs = [apply_measurement(m, np.tanh(rng.standard_normal(16))) for m in models]
+        for n in (None, 64):
+            subs, stop = _baseline_observations(obs, n)
+            for s, o in zip(subs, obs, strict=True):
+                assert type(s.model) is substitute
+                assert_bitwise_equal(s.values, o.values)
+                if substitute is Mask:
+                    assert np.array_equal(s.model.reliable, o.reliable)
+            if deltas is None:
+                assert stop is None
+            else:
+                delta = np.array(deltas)
+                assert_bitwise_equal(stop, 0.5 * (n or 16) * delta * delta / 12.0)
+
+    @pytest.mark.parametrize("family", ["identity", "mask", "linear"])
+    def test_models_without_a_classical_baseline_rejected(self, family):
+        obs, _ = random_observation(family, np.random.default_rng(5))
+        name = type(obs.model).__name__
+        with pytest.raises(ValueError, match=f"^no classical baseline for {name} observations$"):
+            _baseline_observations([obs])
 
 
 class TestClassicalInit:
@@ -342,17 +374,16 @@ class TestFrameBlocks:
 
     FS = FrameSpec(256, 0.75)
 
-    @pytest.mark.parametrize("model, task", [
-        (Clip(0.3, -0.3), "declip"), (None, "declip"), (uniform_quantizer_for_bits(3), "dequant"),
-        (uniform_quantizer_for_bits(12), "dequant"), (OneBit(), "onebit")],
-        ids=["clip", "clip-detected", "quant-3", "quant-12", "onebit"])
-    def test_framed_bounds_match_stacked_per_frame_intervals(self, short_signal, model, task):
+    @pytest.mark.parametrize("model", [
+        Clip(0.3, -0.3), None, uniform_quantizer_for_bits(3), uniform_quantizer_for_bits(12),
+        OneBit()], ids=["clip", "clip-detected", "quant-3", "quant-12", "onebit"])
+    def test_framed_bounds_match_stacked_per_frame_intervals(self, short_signal, model):
         x = np.clip(short_signal, -0.4, 0.5) if model is None else short_signal
         obs, _ = measure_audio(x, self.FS, model)
         per_frame = _per_frame_observations(x, self.FS, model)
         assert len(frame_batch(obs, self.FS)) == len(per_frame) == 122
-        [substitute], stop = _baseline_observations([obs], task, self.FS.frame_len)
-        per_frame_sub, per_frame_stop = _baseline_observations(per_frame, task)
+        [substitute], stop = _baseline_observations([obs], self.FS.frame_len)
+        per_frame_sub, per_frame_stop = _baseline_observations(per_frame)
         for cols in (slice(None), slice(0, 16), slice(112, 128)):  # all, first, short last
             for got, observations in ((obs, per_frame), (substitute, per_frame_sub)):
                 batch = frame_batch(got, self.FS, cols)

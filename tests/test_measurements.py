@@ -510,6 +510,21 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             UniformQuantizer(0.0)
 
+    @pytest.mark.parametrize("delta", [0.5, 1e-5])
+    def test_uniform_quantizer_outputs_are_legal(self, delta):
+        # each output passes the codeword check, at bin indices up to 2e8 for step 1e-5
+        rng = np.random.default_rng(6)
+        x = np.concatenate([rng.uniform(-2, 2, 4000), rng.uniform(-2e3, 2e3, 4000),
+                            delta * np.arange(-50, 50)])
+        obs = apply_measurement(UniformQuantizer(delta), x)
+        assert Observation(obs.values, UniformQuantizer(delta)).values.shape == x.shape
+
+    def test_uniform_quantizer_value_off_its_codeword_rejected(self):
+        # 1.000003 is 0.2 bins from the codeword 1.000005 (bin index 1e5), and
+        # its bounds [0.999998, 1.000008] would miss the bin [1.0, 1.00001]
+        with pytest.raises(ValueError, match="^observation values are not quantizer codewords$"):
+            Observation(np.array([1.000003]), UniformQuantizer(1e-5))
+
     def test_general_quantizer_edges(self):
         with pytest.raises(ValueError):
             GeneralQuantizer(np.array([0.0, 1.0, 0.5]), np.array([0.1, 0.2]))
