@@ -347,9 +347,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = _merge_config(args)
         # fail before any work, as opening it would (a default output lies in the working
         # directory or beside the input, an audio CSV in --out's directory or above it)
-        for path in (cfg.out, cfg.text):
-            if path and not os.path.isdir(os.path.dirname(path) or "."):
+        for path in filter(None, (cfg.out, cfg.text)):
+            if not os.path.isdir(os.path.dirname(path) or "."):
                 raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if cfg.command in AUDIO_TASKS:
             return cmd_audio(cfg, cfg.command)
         return {"synth": cmd_synth, "baseline": cmd_baseline,

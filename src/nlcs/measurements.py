@@ -271,25 +271,10 @@ class Observation:
         y = _as_float_vector(self.values, "values")
         y.setflags(write=False)
         object.__setattr__(self, "values", y)
-        m = self.model
-        if isinstance(m, Clip):
-            self._init_clip(y, m)
-        elif self.reliable is not None or self.clip_pos is not None or self.clip_neg is not None:
+        m, masks = self.model, ("reliable", "clip_pos", "clip_neg")
+        if not isinstance(m, Clip) and any(getattr(self, name) is not None for name in masks):
             raise ValueError("clip masks are only meaningful for Clip models")
-        if isinstance(m, Mask) and m.reliable.shape != y.shape:
-            raise ValueError("mask length must match the observation")
-        if isinstance(m, OneBit) and not np.all(np.abs(y) == 1.0):
-            raise ValueError("1-bit observations must take values in {-1, +1}")
-        if isinstance(m, UniformQuantizer):
-            # legal codewords sit at (q + 1/2) * delta for integer q
-            if not np.all(_at(y, m.delta * (np.round(y / m.delta - 0.5) + 0.5))):
-                raise ValueError("observation values are not quantizer codewords")
-        if isinstance(m, GeneralLinear) and y.shape[0] != m.matrix.shape[0]:
-            raise ValueError("observation length must match the sensing matrix rows")
-
-    def _init_clip(self, y, m):
-        masks = []
-        for name in ("reliable", "clip_pos", "clip_neg"):
+        for name in masks if isinstance(m, Clip) else ():
             arr = getattr(self, name)
             if arr is None:
                 raise ValueError("Clip observations need reliable/clip_pos/clip_neg masks")
@@ -298,22 +283,16 @@ class Observation:
                 raise ValueError(f"{name} mask length must match the observation")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-            masks.append(arr)
-        r, p, n = masks
-        if np.any(r.astype(int) + p.astype(int) + n.astype(int) != 1):
-            raise ValueError("clip masks must partition the samples exactly")
-        if not np.all(_at(y[p], m.theta_pos)):
-            raise ValueError("positively clipped samples must sit at theta_pos")
-        if not np.all(_at(y[n], m.theta_neg)):
-            raise ValueError("negatively clipped samples must sit at theta_neg")
-
-    @cached_property
-    def _intervals(self) -> IntervalSet:
-        return feasibility_intervals(self)
+        if isinstance(m, GeneralLinear):
+            if y.shape[0] != m.matrix.shape[0]:
+                raise ValueError("observation length must match the sensing matrix rows")
+        else:  # the model's rule checks the values and builds the box, once
+            object.__setattr__(self, "_box", feasibility_intervals(self))
 
     def intervals(self) -> IntervalSet:
-        """Feasibility intervals for this observation (computed once)."""
-        return self._intervals
+        """Feasibility intervals for this observation, built at construction; a
+        GeneralLinear observation has none, and feasibility_intervals says so."""
+        return feasibility_intervals(self) if isinstance(self.model, GeneralLinear) else self._box
 
 
 def _at(y, theta) -> np.ndarray:
@@ -381,24 +360,41 @@ def _quantizer_bin_index(model: GeneralQuantizer, values) -> np.ndarray:
 
 
 def feasibility_intervals(obs: Observation) -> IntervalSet:
-    """Pre-image intervals of each observed sample under the forward map.
-
-    Quantizer bins are closed on both sides here: closing the pre-image does
-    not change distances to it, and it keeps the projection single-valued on
-    bin boundaries.  A GeneralQuantizer is looked up QUANTIZER_CHUNK samples
-    at a time (a sample's bin is its own), so the lookup's temporaries stay small.
+    """The one rule per model, run once as an Observation is built: it checks
+    that the values are ones the model can produce, then returns their box,
+    the pre-image intervals of each sample under the forward map.  Quantizer
+    bins are closed on both sides: closing the pre-image does not change
+    distances to it, and it keeps the projection single-valued on bin
+    boundaries.  A GeneralQuantizer is looked up QUANTIZER_CHUNK samples at a
+    time (a sample's bin is its own), so the lookup's temporaries stay small.
     """
-    y = obs.values
-    m = obs.model
+    y, m = obs.values, obs.model
     if isinstance(m, Identity):
         return IntervalSet.equality(y)
     if isinstance(m, Mask):
+        if m.reliable.shape != y.shape:
+            raise ValueError("mask length must match the observation")
         return IntervalSet(np.where(m.reliable, y, -np.inf), np.where(m.reliable, y, np.inf))
     if isinstance(m, Clip):
-        return IntervalSet(np.where(obs.clip_neg, -np.inf, y), np.where(obs.clip_pos, np.inf, y))
+        r, p, n = obs.reliable, obs.clip_pos, obs.clip_neg
+        if np.any(r.astype(int) + p.astype(int) + n.astype(int) != 1):
+            raise ValueError("clip masks must partition the samples exactly")
+        if not np.all(_at(y[p], m.theta_pos)):
+            raise ValueError("positively clipped samples must sit at theta_pos")
+        if not np.all(_at(y[n], m.theta_neg)):
+            raise ValueError("negatively clipped samples must sit at theta_neg")
+        out = y[r & ((y > m.theta_pos) | (y < m.theta_neg))]  # reliable, past a threshold
+        if not np.all(_at(out, np.clip(out, m.theta_neg, m.theta_pos))):
+            raise ValueError("reliable samples must lie between theta_neg and theta_pos")
+        return IntervalSet(np.where(n, -np.inf, y), np.where(p, np.inf, y))
     if isinstance(m, UniformQuantizer):
-        half = m.delta / 2.0
-        return IntervalSet(y - half, y + half)
+        with np.errstate(over="ignore"):  # legal codewords sit at (q + 1/2) * delta, q an integer
+            q = np.round(y / m.delta - 0.5)
+        if not np.all(np.isfinite(q)):
+            raise ValueError("quantizer step is too small to resolve the observation values")
+        if not np.all(_at(y, m.delta * (q + 0.5))):
+            raise ValueError("observation values are not quantizer codewords")
+        return IntervalSet(y - m.delta / 2.0, y + m.delta / 2.0)
     if isinstance(m, GeneralQuantizer):
         lower, upper = np.empty(y.shape), np.empty(y.shape)
         for start in range(0, y.shape[0], QUANTIZER_CHUNK):
@@ -407,6 +403,8 @@ def feasibility_intervals(obs: Observation) -> IntervalSet:
             lower[chunk], upper[chunk] = m.edges[idx], m.edges[idx + 1]
         return IntervalSet(lower, upper)
     if isinstance(m, OneBit):
+        if not np.all(np.abs(y) == 1.0):
+            raise ValueError("1-bit observations must take values in {-1, +1}")
         pos = y > 0
         return IntervalSet(np.where(pos, 0.0, -np.inf), np.where(pos, np.inf, 0.0))
     if isinstance(m, GeneralLinear):

@@ -179,6 +179,7 @@ def test_acceptance_04_solver_monotonicity():
                               f"increase {worst:.2e} (<= 1e-12)")
 
 
+@pytest.mark.slow
 def test_acceptance_05_homotopy_properties():
     rng = np.random.default_rng(105)
     min_stages = np.inf
@@ -270,6 +271,7 @@ def bundled_signal():
     return speech_like_signal(seed=0, seconds=2.0)
 
 
+@pytest.mark.slow
 def test_acceptance_08_audio_dictionary_learning(bundled_signal):
     x = bundled_signal
     fs = FrameSpec(256, 0.75)
@@ -294,6 +296,7 @@ def test_acceptance_08_audio_dictionary_learning(bundled_signal):
                    f"{gap:.4f} dB (<= 0.1); {elapsed:.0f}s (< 300s)")
 
 
+@pytest.mark.slow
 def test_acceptance_09_one_bit_ordering(bundled_signal):
     x = bundled_signal
     fs = FrameSpec(256, 0.75)

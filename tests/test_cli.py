@@ -357,13 +357,21 @@ class TestErrors:
      "[Errno 2] No such file or directory: 'NO_DIR_OUT'"),
     (["learn-dict", "VOICE", "--text", "NO_DIR_OUT"],
      "[Errno 2] No such file or directory: 'NO_DIR_OUT'"),
+    (["synth", "--count", "2", "--theta", "0.4", "--method", "fixed", "--out", "IS_DIR"],
+     "[Errno 21] Is a directory: 'IS_DIR'"),
+    (["declip", "VOICE", "--theta", "0.2", "--iters", "5", "--out", "IS_DIR"],
+     "[Errno 21] Is a directory: 'IS_DIR'"),
+    (["learn-dict", "VOICE", "--out", "IS_DIR"], "[Errno 21] Is a directory: 'IS_DIR'"),
+    (["learn-dict", "VOICE", "--text", "IS_DIR"], "[Errno 21] Is a directory: 'IS_DIR'"),
 ], ids=["epsilon-inf", "epsilon-zero", "lambda-nan", "lambda-negative", "seed-negative",
         "not-a-wav", "wav-cut-mid-sample", "wav-cut-mid-frame", "overlap-1.5", "k-zero",
         "bits-zero", "frame-zero", "out-dir-missing", "dequant-out-dir-missing",
         "onebit-out-dir-missing", "synth-out-dir-missing", "baseline-out-dir-missing",
-        "learn-dict-out-dir-missing", "learn-dict-text-dir-missing"])
+        "learn-dict-out-dir-missing", "learn-dict-text-dir-missing", "synth-out-is-dir",
+        "declip-out-is-dir", "learn-dict-out-is-dir", "learn-dict-text-is-dir"])
 def test_bad_invocation_is_one_error_line(voice_wav, tmp_path, capsys, monkeypatch, args, shown):
-    if any(a.startswith("NO_DIR") for a in args):  # refused before the input is read or solved
+    # refused before the input is read or solved
+    if any(a.startswith(("NO_DIR", "IS_DIR")) for a in args):
 
         def refuse(*called, **kwargs):
             raise AssertionError("worked before the output directory was checked")
@@ -374,7 +382,7 @@ def test_bad_invocation_is_one_error_line(voice_wav, tmp_path, capsys, monkeypat
     not_wav.write_text("hello")
     names = {"VOICE": voice_wav, "NOT_WAV": str(not_wav),
              "NO_DIR_WAV": str(tmp_path / "missing" / "x.wav"),
-             "NO_DIR_OUT": str(tmp_path / "missing" / "x.out")}
+             "NO_DIR_OUT": str(tmp_path / "missing" / "x.out"), "IS_DIR": str(tmp_path)}
     stereo = tmp_path / "stereo.wav"
     with wave.open(str(stereo), "wb") as fh:
         fh.setnchannels(2)
@@ -390,7 +398,7 @@ def test_bad_invocation_is_one_error_line(voice_wav, tmp_path, capsys, monkeypat
     rc = main(argv if "--out" in argv else argv + ["--out", str(tmp_path / "o.out")])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
-    for name in ("NOT_WAV", "CUT_SAMPLE", "CUT_FRAME", "NO_DIR_WAV", "NO_DIR_OUT"):
+    for name in ("NOT_WAV", "CUT_SAMPLE", "CUT_FRAME", "NO_DIR_WAV", "NO_DIR_OUT", "IS_DIR"):
         shown = shown.replace(name, names[name])
     assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(shown)
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -34,7 +35,8 @@ from nlcs.measurements import (
     project_linear,
 )
 from nlcs.measurements import _quantizer_bin_index
-from nlcs.pipeline import uniform_quantizer_for_bits, wav_read, wav_write
+from nlcs.experiments import frame_batch, measure_audio
+from nlcs.pipeline import FrameSpec, uniform_quantizer_for_bits, wav_read, wav_write
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +542,78 @@ class TestModelValidation:
     def test_onebit_values_checked(self):
         with pytest.raises(ValueError):
             Observation(np.array([0.5]), OneBit())
+
+
+def clip_observation(y, reliable, clip_pos, clip_neg):
+    return Observation(np.array(y), Clip(0.5, -0.5), reliable=np.array(reliable),
+                       clip_pos=np.array(clip_pos), clip_neg=np.array(clip_neg))
+
+
+class TestConstructionRule:
+    """Observation runs its model's rule (feasibility_intervals) once, as it is
+    built: the values are checked and the box is kept."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Observation(np.zeros(3), Mask(np.array([True, False]))),
+         "mask length must match the observation"),
+        (lambda: clip_observation([0.2, 0.5], [True, True], [False, True], [False, False]),
+         "clip masks must partition the samples exactly"),
+        (lambda: clip_observation([0.4], [False], [True], [False]),
+         "positively clipped samples must sit at theta_pos"),
+        (lambda: clip_observation([-0.4], [False], [False], [True]),
+         "negatively clipped samples must sit at theta_neg"),
+        # no signal clips to 0.9 or -0.6 at thresholds +-0.5
+        (lambda: clip_observation([0.9], [True], [False], [False]),
+         "reliable samples must lie between theta_neg and theta_pos"),
+        (lambda: clip_observation([0.1, -0.6], [True, True], [False, False], [False, False]),
+         "reliable samples must lie between theta_neg and theta_pos"),
+        (lambda: Observation(np.array([1.000003]), UniformQuantizer(1e-5)),
+         "observation values are not quantizer codewords"),
+        # 1.0 / 1e-320 overflows: the bin index, its codeword and _at's tolerance are inf
+        (lambda: Observation(np.array([1.0, 0.3]), UniformQuantizer(1e-320)),
+         "quantizer step is too small to resolve the observation values"),
+        (lambda: Observation(np.array([0.123, 0.5]), uniform_quantizer_for_bits(3)),
+         "observation values are not legal quantizer codewords"),
+        (lambda: Observation(np.array([1.0, 0.5]), OneBit()),
+         "1-bit observations must take values in {-1, +1}"),
+    ], ids=["mask-length", "clip-partition", "clip-pos", "clip-neg", "clip-reliable-above",
+            "clip-reliable-below", "quant-off-codeword", "quant-step-unresolved",
+            "gquant-off-codeword", "onebit-not-sign"])
+    def test_illegal_value_rejected_at_construction(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_reliable_sample_at_a_threshold_is_legal(self):
+        # apply_measurement records x == theta as reliable; _at admits an ulp off it
+        obs = apply_measurement(Clip(0.5, -0.5), np.array([0.5, -0.5, 0.7, 0.1]))
+        assert obs.reliable.tolist() == [True, True, False, True]
+        obs = clip_observation([0.5 + 1e-12, -0.5 - 1e-12], [True, True], [False, False],
+                               [False, False])
+        assert obs.intervals().lower.tolist() == obs.values.tolist()
+
+    def test_rule_runs_once_per_observation(self, monkeypatch):
+        calls = []
+        rule = nlcs.measurements.feasibility_intervals
+        monkeypatch.setattr(nlcs.measurements, "feasibility_intervals",
+                            lambda obs: calls.append(obs) or rule(obs))
+        rng = np.random.default_rng(11)
+        observations = {f: [random_observation(f, rng)[0] for _ in range(3)] for f in FAMILIES}
+        long_obs = measure_audio(rng.uniform(-1, 1, 2000), FrameSpec(256, 0.75),
+                                 uniform_quantizer_for_bits(8))[0]
+        built = [o for f in SEPARABLE_FAMILIES for o in observations[f]] + [long_obs]
+        assert [id(o) for o in calls] == [id(o) for o in built]
+        for f in FAMILIES:
+            Batch.of(observations[f])
+        frame_batch(long_obs, FrameSpec(256, 0.75))
+        frame_batch(long_obs, FrameSpec(256, 0.75), slice(2, 5))
+        assert long_obs.intervals() is long_obs.intervals()
+        assert len(calls) == len(built)
+
+    def test_linear_observation_has_no_box(self):
+        obs = apply_measurement(GeneralLinear(np.eye(3)), np.zeros(3))
+        with pytest.raises(ValueError, match="^general linear models have no separable "
+                                             "intervals; use project_linear$"):
+            obs.intervals()
 
 
 class TestProjectionProperties:
